@@ -1063,6 +1063,39 @@ let trace_cmd =
 let exit_bad_listen = 3
 let exit_bind_failed = 4
 
+(* serve and balance: parse --listen (exit 3) and bind it (exit 4), then
+   [start] what answers on it: it prints the "listening on" line, or
+   returns the exit status and message of its own failure. The socket
+   closes (unlinking a Unix path) however [start] or [serve] ends, and
+   before [stop] drains what [start] started, so no client connects
+   into a draining process. *)
+let serve_listener ~listen ~backlog ~start ~serve ~stop =
+  let module Server = Crs_serve.Server in
+  let fail code msg =
+    Printf.eprintf "error: %s\n" msg;
+    exit code
+  in
+  match Server.parse_address listen with
+  | Error msg -> fail exit_bad_listen msg
+  | Ok addr -> (
+    match Server.bind_address ~backlog addr with
+    | Error msg -> fail exit_bind_failed msg
+    | Ok fd -> (
+      let close () = Server.close_address addr fd in
+      match start addr with
+      | Error (code, msg) ->
+        close ();
+        fail code msg
+      | exception e ->
+        close ();
+        raise e
+      | Ok x ->
+        Fun.protect
+          ~finally:(fun () ->
+            close ();
+            stop x)
+          (fun () -> serve x fd)))
+
 let serve_cmd =
   let module Server = Crs_serve.Server in
   let d = Server.default_config in
@@ -1213,25 +1246,14 @@ let serve_cmd =
       Server.drain server
     end
     else
-      match Server.parse_address listen with
-      | Error msg ->
-        Printf.eprintf "error: %s\n" msg;
-        exit exit_bad_listen
-      | Ok addr -> (
-        match Server.bind_address ~backlog addr with
-        | Error msg ->
-          Printf.eprintf "error: %s\n" msg;
-          exit exit_bind_failed
-        | Ok fd ->
+      serve_listener ~listen ~backlog
+        ~start:(fun addr ->
           let server = Server.create config in
           wire_warm server;
           Printf.eprintf "crsched serve: listening on %s\n%!"
             (Server.address_to_string addr);
-          Fun.protect
-            ~finally:(fun () ->
-              Server.close_address addr fd;
-              Server.drain server)
-            (fun () -> Server.serve server fd))
+          Ok server)
+        ~serve:Server.serve ~stop:Server.drain
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1254,7 +1276,7 @@ let serve_cmd =
            `P
              "Example: echo \
               '{\"proto\":\"crs-serve/1\",\"kind\":\"solve\",\"instance\":\"1/2 \
-              1/3\\n1/4\"}' | crsched serve --stdio";
+              1/3\\\\n1/4\"}' | crsched serve --stdio";
          ])
     Term.(
       const run $ listen $ stdio $ workers $ queue $ cache $ fuel $ max_conns
@@ -1398,31 +1420,17 @@ let balance_cmd =
         max_conns;
       }
     in
-    match Server.parse_address listen with
-    | Error msg ->
-      Printf.eprintf "error: %s\n" msg;
-      exit exit_bad_listen
-    | Ok addr -> (
-      match Server.bind_address ~backlog addr with
-      | Error msg ->
-        Printf.eprintf "error: %s\n" msg;
-        exit exit_bind_failed
-      | Ok fd -> (
+    serve_listener ~listen ~backlog
+      ~start:(fun addr ->
         match Balancer.create cfg with
-        | Error msg ->
-          Server.close_address addr fd;
-          Printf.eprintf "error: %s\n" msg;
-          exit exit_shards_failed
+        | Error msg -> Error (exit_shards_failed, msg)
         | Ok balancer ->
           Printf.eprintf
             "crsched balance: listening on %s (%d shards in %s)\n%!"
             (Server.address_to_string addr)
             shards socket_dir;
-          Fun.protect
-            ~finally:(fun () ->
-              Server.close_address addr fd;
-              Balancer.drain balancer)
-            (fun () -> Balancer.serve balancer fd)))
+          Ok balancer)
+      ~serve:Balancer.serve ~stop:Balancer.drain
   in
   Cmd.v
     (Cmd.info "balance"

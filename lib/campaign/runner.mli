@@ -1,5 +1,5 @@
 (** Campaign execution: expand a {!Spec.t} into items and evaluate them,
-    sequentially or on a {!Pool} of domains.
+    sequentially or on the {!Crs_exec.Exec} work-stealing executor.
 
     Determinism contract: item results (minus timing) depend only on the
     spec — instances are regenerated from their seed inside the item,
@@ -26,7 +26,7 @@ val run_item : Spec.t -> Spec.item -> Report.record
 val run : ?domains:int -> Spec.t -> Report.record array
 (** Run the whole campaign; records are in item order regardless of the
     pool size. [domains <= 1] (default) runs sequentially in the calling
-    domain; larger values use {!Pool.map}.
+    domain; larger values use {!Crs_exec.Exec.map}.
     @raise Invalid_argument when {!Spec.validate} rejects the spec. *)
 
 val compare_records :

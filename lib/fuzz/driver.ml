@@ -115,7 +115,7 @@ let run ?(domains = 1) config (oracle : Oracle.t) =
     if domains <= 1 then Array.map eval seeds
     else begin
       let chunk = Stdlib.max 1 (Array.length seeds / (domains * 8)) in
-      Crs_campaign.Pool.map ~chunk ~domains eval seeds
+      Crs_exec.Exec.map ~chunk ~domains eval seeds
     end
   in
   let count p = Array.fold_left (fun acc c -> if p c.outcome then acc + 1 else acc) 0 cases in

@@ -1,5 +1,6 @@
 (** Fuzz-campaign driver: sweep an oracle over a seeded generator family
-    on the {!Crs_campaign.Pool} domain pool with fuel-based timeouts.
+    on the {!Crs_exec.Exec} work-stealing executor with fuel-based
+    timeouts.
 
     Determinism contract (same as campaign runs): the instance for a
     seed depends only on the seed and the config, fuel is work-based,
@@ -43,7 +44,7 @@ type report = {
 
 val run : ?domains:int -> config -> Oracle.t -> report
 (** Evaluate every seed of the range. [domains > 1] fans items out on a
-    {!Crs_campaign.Pool}; results are identical at any pool size.
+    {!Crs_exec.Exec.map}; results are identical at any pool size.
     @raise Invalid_argument on an empty/inverted seed range or
     non-positive m/n/granularity. *)
 

@@ -1,9 +1,9 @@
 (* Process-sharded serve tier behind one public listen address.
 
    The balancer forks/execs N `crsched serve` shard workers on private
-   Unix sockets, accepts client connections itself, and routes each
-   work request by rendezvous hash of its canonical key — so
-   canonically equivalent instances always land on the same shard's
+   Unix sockets, accepts client connections on the shared Frontend, and
+   routes each work request by rendezvous hash of its canonical key —
+   so canonically equivalent instances always land on the same shard's
    memo cache and the byte-identity guarantee survives sharding.
    Robustness model:
 
@@ -24,6 +24,7 @@ module J = Crs_util.Stable_json
 module Registry = Crs_algorithms.Registry
 module Trace = Crs_obs.Trace
 module Metrics = Crs_obs.Metrics
+module Lines = Frontend.Lines
 
 type config = {
   shards : int;
@@ -79,71 +80,6 @@ let route ~shards key =
     !best
   end
 
-(* ---- buffered line connections (balancer -> shard, with deadlines) ---- *)
-
-let write_all fd s =
-  let len = String.length s in
-  let rec go off =
-    if off < len then
-      let n = Unix.write_substring fd s off (len - off) in
-      go (off + n)
-  in
-  go 0
-
-let now_s () = Unix.gettimeofday ()
-
-module Conn = struct
-  type t = { fd : Unix.file_descr; buf : Buffer.t; mutable eof : bool }
-
-  let of_fd fd = { fd; buf = Buffer.create 4096; eof = false }
-  let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
-  let send t line = write_all t.fd (line ^ "\n")
-
-  let pop_line t =
-    let s = Buffer.contents t.buf in
-    match String.index_opt s '\n' with
-    | None -> None
-    | Some nl ->
-      Buffer.clear t.buf;
-      Buffer.add_substring t.buf s (nl + 1) (String.length s - nl - 1);
-      Some (String.sub s 0 nl)
-
-  (* One response line, or [None] on EOF / deadline. The deadline bounds
-     the whole receive, not one read — a shard that answers in drips
-     still has to finish in time. *)
-  let recv_line ~timeout_s t =
-    let deadline = now_s () +. timeout_s in
-    let chunk = Bytes.create 65536 in
-    let rec go () =
-      match pop_line t with
-      | Some line -> Some line
-      | None ->
-        if t.eof then None
-        else begin
-          let remaining = deadline -. now_s () in
-          if remaining <= 0.0 then None
-          else
-            match Unix.select [ t.fd ] [] [] (Float.min remaining 0.25) with
-            | [], _, _ -> go ()
-            | _ -> (
-              match Unix.read t.fd chunk 0 (Bytes.length chunk) with
-              | 0 ->
-                t.eof <- true;
-                go ()
-              | n ->
-                Buffer.add_subbytes t.buf chunk 0 n;
-                go ()
-              | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-              | exception
-                  Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-                t.eof <- true;
-                go ())
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-        end
-    in
-    go ()
-end
-
 (* ---- shard state ---- *)
 
 type shard = {
@@ -169,9 +105,7 @@ type t = {
   accepted : int Atomic.t;
   answered : int Atomic.t;
   refused : int Atomic.t;
-  conns_live : int Atomic.t;
-  conns_accepted : int Atomic.t;
-  conns_refused : int Atomic.t;
+  front : Frontend.t;
   m_routed : Metrics.counter;
   m_answered : Metrics.counter;
   m_refused : Metrics.counter;
@@ -216,7 +150,7 @@ let try_connect sh =
    replaying warm state behind its listen backlog; that's fine — it is
    reachable, and requests queue until the replay finishes. *)
 let wait_ready cfg sh =
-  let deadline = now_s () +. cfg.connect_timeout_s in
+  let deadline = Frontend.now_s () +. cfg.connect_timeout_s in
   let rec go () =
     match try_connect sh with
     | Some fd ->
@@ -224,7 +158,7 @@ let wait_ready cfg sh =
       Atomic.set sh.alive true;
       true
     | None ->
-      if now_s () >= deadline then false
+      if Frontend.now_s () >= deadline then false
       else begin
         Thread.delay 0.02;
         go ()
@@ -238,13 +172,13 @@ let rpc_once ?(timeout_s = 5.0) sh line =
   match try_connect sh with
   | None -> Error "unreachable"
   | Some fd ->
-    let conn = Conn.of_fd fd in
+    let conn = Lines.of_fd fd in
     Fun.protect
-      ~finally:(fun () -> Conn.close conn)
+      ~finally:(fun () -> Lines.close conn)
       (fun () ->
-        match Conn.send conn line with
+        match Lines.send_line conn line with
         | () -> (
-          match Conn.recv_line ~timeout_s conn with
+          match Lines.recv_line ~timeout_s conn with
           | Some response -> Ok response
           | None -> Error "no response")
         | exception Unix.Unix_error (e, _, _) ->
@@ -329,11 +263,6 @@ let health_loop t =
 (* ---- lifecycle ---- *)
 
 let create (cfg : config) =
-  (* As in Server.create: shard connections die under us by design
-     (that is what the monitor is for), and every send must surface as
-     EPIPE, not a process-killing SIGPIPE. *)
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ -> ());
   if cfg.shards < 1 then Error "balancer: shards must be >= 1"
   else begin
     (try Unix.mkdir cfg.socket_dir 0o755
@@ -352,17 +281,27 @@ let create (cfg : config) =
             pings_failed = Atomic.make 0;
           })
     in
+    let stop = Atomic.make false in
     let t =
       {
         cfg;
         shards;
-        stop = Atomic.make false;
+        stop;
         accepted = Atomic.make 0;
         answered = Atomic.make 0;
         refused = Atomic.make 0;
-        conns_live = Atomic.make 0;
-        conns_accepted = Atomic.make 0;
-        conns_refused = Atomic.make 0;
+        (* The frontend also ignores SIGPIPE: shard connections die
+           under us by design (that is what the monitor is for). The
+           idle deadline is serve's default; there is no flag for it. *)
+        front =
+          Frontend.create ~name:"balancer"
+            {
+              Frontend.max_conns = cfg.max_conns;
+              idle_timeout_s = Server.default_config.Server.idle_timeout_s;
+              drain_grace_s = cfg.drain_grace_s;
+              max_line_bytes = cfg.max_line_bytes;
+            }
+            ~stopping:(fun () -> Atomic.get stop);
         m_routed = Metrics.counter "balancer.routed";
         m_answered = Metrics.counter "balancer.answered";
         m_refused = Metrics.counter "balancer.refused";
@@ -422,16 +361,17 @@ let reap t =
       if pid > 0 then begin
         (* Grace, then escalate: a worker that ignores its shutdown
            response for this long is wedged. *)
-        let deadline = now_s () +. 10.0 in
+        let deadline = Frontend.now_s () +. 10.0 in
         let rec wait signalled =
           match Unix.waitpid [ Unix.WNOHANG ] pid with
           | 0, _ ->
-            if now_s () >= deadline then begin
+            if Frontend.now_s () >= deadline then begin
               (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
               try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
             end
             else begin
-              if (not signalled) && now_s () >= deadline -. 5.0 then begin
+              if (not signalled) && Frontend.now_s () >= deadline -. 5.0
+              then begin
                 (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
                 Thread.delay 0.05;
                 wait true
@@ -548,13 +488,7 @@ let stats_payload t =
               (Array.fold_left
                  (fun acc sh -> acc + Atomic.get sh.restarts)
                  0 t.shards) );
-          ( "connections",
-            J.obj
-              [
-                ("live", J.int (Atomic.get t.conns_live));
-                ("accepted", J.int (Atomic.get t.conns_accepted));
-                ("refused", J.int (Atomic.get t.conns_refused));
-              ] );
+          ("connections", Frontend.connections_json t.front);
           ("shard", J.arr (Array.to_list (Array.map shard_json fetched)));
         ] );
   ]
@@ -566,7 +500,7 @@ let stats_payload t =
    because the session is serial), and a failed connection is dropped so
    the next request reconnects — which is how a restarted shard comes
    back into rotation. *)
-type session_conns = Conn.t option array
+type session_conns = Lines.t option array
 
 let shard_rpc t (conns : session_conns) sh line =
   let attempt () =
@@ -576,7 +510,7 @@ let shard_rpc t (conns : session_conns) sh line =
       | None -> (
         match try_connect sh with
         | Some fd ->
-          let c = Conn.of_fd fd in
+          let c = Lines.of_fd fd in
           conns.(sh.index) <- Some c;
           Some c
         | None -> None)
@@ -585,12 +519,12 @@ let shard_rpc t (conns : session_conns) sh line =
     | None -> None
     | Some c -> (
       match
-        Conn.send c line;
-        Conn.recv_line ~timeout_s:t.cfg.rpc_timeout_s c
+        Lines.send_line c line;
+        Lines.recv_line ~timeout_s:t.cfg.rpc_timeout_s c
       with
       | Some response -> Some response
       | None | (exception Unix.Unix_error (_, _, _)) ->
-        Conn.close c;
+        Lines.close c;
         conns.(sh.index) <- None;
         None)
   in
@@ -660,132 +594,20 @@ let handle_request t (conns : session_conns) line =
 
 (* ---- client sessions ---- *)
 
-let send_event fd payload =
-  try write_all fd (Protocol.respond ~id:None ~req:"connection" payload ^ "\n")
-  with Unix.Unix_error _ -> ()
-
-let refuse_conn t fd =
-  Atomic.incr t.conns_refused;
-  send_event fd (Protocol.overloaded ());
-  try Unix.close fd with Unix.Unix_error _ -> ()
-
-let session t fd =
+let session t () =
   let conns : session_conns = Array.make t.cfg.shards None in
-  let pending = Buffer.create 4096 in
-  let chunk = Bytes.create 65536 in
-  let rec split_lines acc =
-    let s = Buffer.contents pending in
-    match String.index_opt s '\n' with
-    | None -> List.rev acc
-    | Some nl ->
-      let line = String.sub s 0 nl in
-      Buffer.clear pending;
-      Buffer.add_substring pending s (nl + 1) (String.length s - nl - 1);
-      split_lines (line :: acc)
-  in
-  let refuse_draining line =
-    (* Same accounting rule as any other request: read, counted, refused
-       with structure. *)
-    Atomic.incr t.accepted;
-    Atomic.incr t.refused;
-    Metrics.incr t.m_refused;
-    let p = Protocol.parse line in
-    let req =
-      match p.Protocol.body with
-      | Ok r -> Protocol.kind_of_request r
-      | Error _ -> "unknown"
-    in
-    Protocol.respond ~id:p.Protocol.id ~req (Protocol.draining ())
-  in
-  let handle_lines lines =
-    match List.filter (fun l -> String.trim l <> "") lines with
-    | [] -> ()
-    | lines ->
-      let respond =
-        if stopping t then refuse_draining else handle_request t conns
-      in
-      let responses = List.map respond lines in
-      write_all fd (String.concat "\n" responses ^ "\n")
-  in
-  let stop_seen = ref None in
-  let rec loop () =
-    (match (stopping t, !stop_seen) with
-    | true, None -> stop_seen := Some (now_s ())
-    | _ -> ());
-    match !stop_seen with
-    | Some since when now_s () -. since >= t.cfg.drain_grace_s -> ()
-    | _ -> (
-      match Unix.select [ fd ] [] [] 0.05 with
-      | [], _, _ -> loop ()
-      | _ -> (
-        match Unix.read fd chunk 0 (Bytes.length chunk) with
-        | 0 ->
-          if Buffer.length pending > 0 then begin
-            let last = Buffer.contents pending in
-            Buffer.clear pending;
-            handle_lines [ last ]
-          end
-        | n ->
-          Buffer.add_subbytes pending chunk 0 n;
-          let lines = split_lines [] in
-          if
-            List.exists
-              (fun l -> String.length l > t.cfg.max_line_bytes)
-              lines
-            || Buffer.length pending > t.cfg.max_line_bytes
-          then begin
-            (* Oversized frame: same poisoning rule as the shards — the
-               rest of the buffer is garbage, answer and close. *)
-            Atomic.incr t.accepted;
-            Atomic.incr t.answered;
-            send_event fd (Protocol.oversized ~limit:t.cfg.max_line_bytes)
-          end
-          else begin
-            handle_lines lines;
-            loop ()
-          end
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ())
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ())
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter (function Some c -> Conn.close c | None -> ()) conns;
-      try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      try loop ()
-      with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ())
+  {
+    Frontend.handle = List.map (handle_request t conns);
+    refuse =
+      (fun line ->
+        (* Same accounting rule as any other request: read, counted,
+           refused with structure. *)
+        Atomic.incr t.accepted;
+        Atomic.incr t.refused;
+        Metrics.incr t.m_refused;
+        Frontend.draining line);
+    close = (fun () -> Array.iter (Option.iter Lines.close) conns);
+  }
 
-let attach t fd =
-  (* See try_connect: client fds must not leak into respawned workers. *)
-  (try Unix.set_close_on_exec fd with Unix.Unix_error _ -> ());
-  if Atomic.fetch_and_add t.conns_live 1 >= t.cfg.max_conns then begin
-    Atomic.decr t.conns_live;
-    refuse_conn t fd;
-    None
-  end
-  else begin
-    Atomic.incr t.conns_accepted;
-    Some
-      (Thread.create
-         (fun () ->
-           Fun.protect
-             ~finally:(fun () -> Atomic.decr t.conns_live)
-             (fun () -> session t fd))
-         ())
-  end
-
-let serve t fd =
-  let readers = ref [] in
-  while not (stopping t) do
-    match Unix.select [ fd ] [] [] 0.05 with
-    | [], _, _ -> ()
-    | _ -> (
-      match Unix.accept fd with
-      | conn, _ -> (
-        match attach t conn with
-        | Some reader -> readers := reader :: !readers
-        | None -> ())
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  done;
-  List.iter Thread.join !readers
+let attach t fd = Frontend.attach t.front (session t) fd
+let serve t fd = Frontend.serve t.front (session t) fd

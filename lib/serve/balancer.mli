@@ -26,7 +26,11 @@
     - A tier drain ([shutdown] request, or {!drain}) forwards
       [shutdown] to every shard (each snapshots warm state via its
       drain hook and exits), refuses latecomers with [draining], then
-      reaps every worker before returning. *)
+      reaps every worker before returning.
+    - Client connections run on the same {!Frontend} as [crsched
+      serve]: [max_conns] refusal, oversized-frame eviction, and
+      slow-loris eviction after serve's default 30 s idle deadline.
+      Every deadline here is monotonic ({!Frontend.now_s}). *)
 
 type config = {
   shards : int;  (** worker-process count, >= 1 *)
@@ -77,14 +81,15 @@ val create : config -> (t, string) result
     came up) kills any worker that did start. *)
 
 val serve : t -> Unix.file_descr -> unit
-(** Accept loop on the public listening socket: one reader thread per
-    client connection. Returns after a tier drain has begun and every
-    reader has quiesced. The caller still owns the listening fd. *)
+(** {!Frontend.serve} on the public listening socket, with a session
+    that routes each line to its shard. Returns after a tier drain has
+    begun and every reader has quiesced. The caller still owns the
+    listening fd. *)
 
 val attach : t -> Unix.file_descr -> Thread.t option
-(** Register a connected client fd (tests/benches drive the balancer
-    over socketpairs with this): spawns and returns its reader thread,
-    or refuses it ([overloaded] + close, [None]) beyond [max_conns]. *)
+(** {!Frontend.attach} with the routing session: tests and benches drive
+    the balancer over socketpairs with this. A session's shard
+    connections close with its client connection. *)
 
 val drain : t -> unit
 (** Begin (or join) the tier drain: forward [shutdown] to every shard,
@@ -102,7 +107,8 @@ val shard_pids : t -> int array
 val stats_payload : t -> (string * string) list
 (** The aggregated [stats] payload: tier-wide request/cache sums over
     live per-shard stats RPCs, plus a [balancer] object — accepted /
-    answered / refused accounting, restart total, connection counters
-    and a per-shard array (index, alive, pid, restarts, routed, ping
+    answered / refused accounting, restart total, the frontend's
+    connection counters (live / max / accepted / refused / evicted /
+    drained) and a per-shard array (index, alive, pid, restarts, routed, ping
     counts, and the shard's own requests / cache / [warm] progress
     passed through verbatim). *)

@@ -17,20 +17,9 @@
     Open-loop schedules are drawn from a caller-seeded PRNG, so a bench
     run is reproducible. *)
 
-module Client : sig
-  type t
-
-  val of_fd : Unix.file_descr -> t
-  (** Wrap a connected stream socket (read and write on one fd). *)
-
-  val send_line : t -> string -> unit
-  val recv_line : t -> string option
-  (** Next response line; [None] on EOF. *)
-
-  val rpc : t -> string -> string
-  (** [send_line] then [recv_line], for control requests.
-      @raise Failure on EOF. *)
-end
+module Client = Frontend.Lines
+(** A load-generator connection is a plain {!Frontend.Lines}: the same
+    line framing the servers read with. *)
 
 type arrival =
   | Closed_loop

@@ -115,18 +115,6 @@ type counters = {
   not_applicable : int Atomic.t;
 }
 
-(* Connection lifecycle counters: accepted = reader spawned, refused =
-   turned away at the max-conns limit, evicted = closed by the server
-   (idle deadline or an oversized frame), drained = closed during
-   graceful drain. *)
-type conn_counters = {
-  live : int Atomic.t;
-  accepted : int Atomic.t;
-  refused : int Atomic.t;
-  evicted : int Atomic.t;
-  drained : int Atomic.t;
-}
-
 (* Warm-replay progress, exposed in stats so an operator (or the
    balancer's health pings) can watch a restarted shard refill its memo
    cache. All zeros with [finished] set when no warm state is
@@ -144,7 +132,7 @@ type t = {
   cache : (status * (string * string) list) Canon.Cache.t;
   stop : bool Atomic.t;
   c : counters;
-  conns : conn_counters;
+  front : Frontend.t;
   warm : warm_counters;
   (* Drain hook: runs exactly once, inside the first [drain] call,
      BEFORE the executor shuts down — the cache is final (no worker can
@@ -158,26 +146,16 @@ type t = {
   m_cache_misses : Metrics.counter;
   m_overloaded : Metrics.counter;
   m_timeouts : Metrics.counter;
-  m_conn_accepted : Metrics.counter;
-  m_conn_refused : Metrics.counter;
-  m_conn_evicted : Metrics.counter;
-  m_conn_drained : Metrics.counter;
   m_lat : Metrics.histogram array; (* mirrors lat when metrics are on *)
 }
 
 let create config =
-  (* Every write path here treats a dead peer as Unix_error EPIPE — a
-     connection-local event — which requires the process-default
-     SIGPIPE termination to be off. Idempotent, and deliberately in
-     create (not main): embedders (tests, benches, the balancer) get
-     the same semantics as the daemon. *)
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ -> ());
+  let stop = Atomic.make false in
   {
     config;
     admission = Admission.create ~queue:config.queue ~workers:config.workers;
     cache = Canon.Cache.create ~capacity:config.cache_capacity;
-    stop = Atomic.make false;
+    stop;
     c =
       {
         requests = Atomic.make 0;
@@ -187,14 +165,15 @@ let create config =
         overloaded = Atomic.make 0;
         not_applicable = Atomic.make 0;
       };
-    conns =
-      {
-        live = Atomic.make 0;
-        accepted = Atomic.make 0;
-        refused = Atomic.make 0;
-        evicted = Atomic.make 0;
-        drained = Atomic.make 0;
-      };
+    front =
+      Frontend.create ~name:"serve"
+        {
+          Frontend.max_conns = config.max_conns;
+          idle_timeout_s = config.idle_timeout_s;
+          drain_grace_s = config.drain_grace_s;
+          max_line_bytes = config.max_line_bytes;
+        }
+        ~stopping:(fun () -> Atomic.get stop);
     warm =
       {
         w_entries = Atomic.make 0;
@@ -210,10 +189,6 @@ let create config =
     m_cache_misses = Metrics.counter "serve.cache_misses";
     m_overloaded = Metrics.counter "serve.overloaded";
     m_timeouts = Metrics.counter "serve.timeouts";
-    m_conn_accepted = Metrics.counter "serve.conn.accepted";
-    m_conn_refused = Metrics.counter "serve.conn.refused";
-    m_conn_evicted = Metrics.counter "serve.conn.evicted";
-    m_conn_drained = Metrics.counter "serve.conn.drained";
     m_lat =
       Array.map
         (fun kind -> Metrics.histogram ("serve.latency." ^ kind))
@@ -302,16 +277,7 @@ let stats_payload t =
            (Array.mapi (fun i kind -> (kind, lat_json t.lat.(i))) lat_kinds)) );
     (* Connection lifecycle (additive): how many peers the concurrent
        frontend let in, turned away, or forcibly closed. *)
-    ( "connections",
-      J.obj
-        [
-          ("live", J.int (Atomic.get t.conns.live));
-          ("max", J.int t.config.max_conns);
-          ("accepted", J.int (Atomic.get t.conns.accepted));
-          ("refused", J.int (Atomic.get t.conns.refused));
-          ("evicted", J.int (Atomic.get t.conns.evicted));
-          ("drained", J.int (Atomic.get t.conns.drained));
-        ] );
+    ("connections", Frontend.connections_json t.front);
     (* Executor saturation (additive in crs-serve/1): live backlog,
        per-worker deque depths, and lifetime push/steal/park counts —
        what an operator watches to see whether load shedding is about
@@ -514,144 +480,21 @@ let handle_line t line =
 
 (* ---- streams ---- *)
 
-let write_all fd s =
-  let len = String.length s in
-  let rec go off =
-    if off < len then
-      let n = Unix.write_substring fd s off (len - off) in
-      go (off + n)
-  in
-  go 0
+let session t () =
+  {
+    Frontend.handle = process_batch t;
+    refuse = Frontend.draining;
+    close = ignore;
+  }
 
-(* How one stream session ended — the reader maps these onto the
-   connection lifecycle counters. *)
-type session_end =
-  | Session_eof  (* peer closed; all its frames were answered *)
-  | Session_evicted  (* idle past the read deadline *)
-  | Session_poisoned  (* oversized frame; answered, then cut loose *)
-  | Session_drained  (* graceful drain quiesced the connection *)
-
-let now_s () = Int64.to_float (Trace.monotonic_ns ()) /. 1e9
-
-(* The per-connection session loop shared by the stdio path and the
-   concurrent frontend's readers. Reads chunks, batches complete
-   lines, writes responses in request order. [deadline] > 0 evicts a
-   connection that sits mid-frame — a line was started but no byte has
-   arrived for that long (slow-loris defence; a quiet connection with
-   no partial frame is just idle and stays);
-   [drain_grace] is how long after a server-wide stop the session keeps
-   answering late requests with structured [draining] refusals before
-   closing (0 closes as soon as the stop is observed, the single-stream
-   stdio behavior).
-
-   Isolation: everything that can go wrong here — malformed frames,
-   oversized frames, mid-line EOF, the deadline — is answered on (and
-   at worst closes) THIS session; the server and its sibling sessions
-   keep serving. *)
-let session t ~input ~output ~deadline ~drain_grace =
-  let pending = Buffer.create 4096 in
-  let chunk = Bytes.create 65536 in
-  let rec split_lines acc =
-    let s = Buffer.contents pending in
-    match String.index_opt s '\n' with
-    | None -> List.rev acc
-    | Some nl ->
-      let line = String.sub s 0 nl in
-      Buffer.clear pending;
-      Buffer.add_substring pending s (nl + 1) (String.length s - nl - 1);
-      split_lines (line :: acc)
-  in
-  let send_connection_event payload =
-    try write_all output (Protocol.respond ~id:None ~req:"connection" payload ^ "\n")
-    with Unix.Unix_error _ -> ()
-  in
-  let respond_batch lines =
-    match process_batch t lines with
-    | [] -> ()
-    | responses -> write_all output (String.concat "\n" responses ^ "\n")
-  in
-  (* Late requests during graceful drain: parse only far enough to echo
-     the id and kind back with a [draining] refusal. In-flight work was
-     already answered by the respond_batch that carried the shutdown. *)
-  let refuse_batch lines =
-    let refusal line =
-      let p = Protocol.parse line in
-      let req =
-        match p.Protocol.body with
-        | Ok r -> Protocol.kind_of_request r
-        | Error _ -> "unknown"
-      in
-      Protocol.respond ~id:p.Protocol.id ~req (Protocol.draining ())
-    in
-    match List.filter (fun l -> String.trim l <> "") lines with
-    | [] -> ()
-    | lines -> write_all output (String.concat "\n" (List.map refusal lines) ^ "\n")
-  in
-  let handle_lines lines =
-    if stopping t then refuse_batch lines else respond_batch lines
-  in
-  let max_line = t.config.max_line_bytes in
-  let last_activity = ref (now_s ()) in
-  let stop_seen = ref None in
-  let rec loop () =
-    (match (stopping t, !stop_seen) with
-    | true, None -> stop_seen := Some (now_s ())
-    | _ -> ());
-    match !stop_seen with
-    | Some since when now_s () -. since >= drain_grace -> Session_drained
-    | _ -> (
-      (* Short select slices so the loop notices a server-wide stop and
-         the idle deadline promptly even on a silent connection. *)
-      match Unix.select [ input ] [] [] 0.05 with
-      | [], _, _ ->
-        if
-          !stop_seen = None && deadline > 0.0
-          && Buffer.length pending > 0
-          && now_s () -. !last_activity > deadline
-        then begin
-          send_connection_event (Protocol.evicted ~idle_s:deadline);
-          Session_evicted
-        end
-        else loop ()
-      | _ -> (
-        match Unix.read input chunk 0 (Bytes.length chunk) with
-        | 0 ->
-          (* EOF: a final unterminated line is still a request. *)
-          if Buffer.length pending > 0 then begin
-            let last = Buffer.contents pending in
-            Buffer.clear pending;
-            handle_lines [ last ]
-          end;
-          Session_eof
-        | n -> (
-          last_activity := now_s ();
-          Buffer.add_subbytes pending chunk 0 n;
-          let lines = split_lines [] in
-          if
-            List.exists (fun l -> String.length l > max_line) lines
-            || Buffer.length pending > max_line
-          then begin
-            (* Oversized frame: answer structurally, then poison only
-               this connection — its buffered bytes are untrustworthy
-               garbage and replying to the rest would desynchronize. *)
-            send_connection_event (Protocol.oversized ~limit:max_line);
-            Session_poisoned
-          end
-          else begin
-            (match lines with [] -> () | lines -> handle_lines lines);
-            loop ()
-          end)
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ())
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ())
-  in
-  loop ()
-
+(* Single-stream mode (stdio, tests): no idle eviction, since an
+   interactive pipeline may think arbitrarily long, and no drain grace,
+   so a shutdown request ends the session once its response is written. *)
 let serve_io t ~input ~output =
-  (* Single-stream mode (stdio, tests): no idle eviction — an
-     interactive pipeline may think arbitrarily long — and no drain
-     grace, so a shutdown request ends the session as soon as its
-     response is written. *)
-  ignore (session t ~input ~output ~deadline:0.0 ~drain_grace:0.0)
+  Frontend.serve_io t.front (session t ()) ~input ~output
+
+let attach t fd = Frontend.attach t.front (session t) fd
+let serve t fd = Frontend.serve t.front (session t) fd
 
 (* ---- sockets ---- *)
 
@@ -730,81 +573,6 @@ let bind_address ?(backlog = default_config.backlog) addr =
       | exception Unix.Unix_error (e, _, _) ->
         Unix.close fd;
         Error (describe e)))
-
-(* ---- the concurrent frontend ---- *)
-
-(* Reader threads are systhreads, not domains: a connection reader is
-   IO-bound (select / read / batch-await all release the runtime lock),
-   so hundreds of them can share the acceptor's domain while the actual
-   solving runs on the executor's worker domains. *)
-
-let refuse_connection t fd =
-  Atomic.incr t.conns.refused;
-  Metrics.incr t.m_conn_refused;
-  (try
-     write_all fd
-       (Protocol.respond ~id:None ~req:"connection" (Protocol.overloaded ())
-       ^ "\n")
-   with Unix.Unix_error _ -> ());
-  try Unix.close fd with Unix.Unix_error _ -> ()
-
-let attach t fd =
-  (* fetch_and_add then check: two racing attaches cannot both slip
-     under the limit. *)
-  if Atomic.fetch_and_add t.conns.live 1 >= t.config.max_conns then begin
-    Atomic.decr t.conns.live;
-    refuse_connection t fd;
-    None
-  end
-  else begin
-    Atomic.incr t.conns.accepted;
-    Metrics.incr t.m_conn_accepted;
-    Some
-      (Thread.create
-         (fun () ->
-           Fun.protect
-             ~finally:(fun () ->
-               Atomic.decr t.conns.live;
-               try Unix.close fd with Unix.Unix_error _ -> ())
-             (fun () ->
-               match
-                 session t ~input:fd ~output:fd
-                   ~deadline:t.config.idle_timeout_s
-                   ~drain_grace:t.config.drain_grace_s
-               with
-               | Session_eof -> ()
-               | Session_evicted | Session_poisoned ->
-                 Atomic.incr t.conns.evicted;
-                 Metrics.incr t.m_conn_evicted
-               | Session_drained ->
-                 Atomic.incr t.conns.drained;
-                 Metrics.incr t.m_conn_drained
-               | exception
-                   Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _)
-                 ->
-                 (* The peer vanished mid-write; its reader dies alone. *)
-                 ()))
-         ())
-  end
-
-let serve t fd =
-  let readers = ref [] in
-  while not (stopping t) do
-    match Unix.select [ fd ] [] [] 0.05 with
-    | [], _, _ -> ()
-    | _ -> (
-      match Unix.accept fd with
-      | conn, _ -> (
-        match attach t conn with
-        | Some reader -> readers := reader :: !readers
-        | None -> ())
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  done;
-  (* Graceful drain: stop accepting, then wait for every live reader —
-     each finishes its in-flight batch, refuses latecomers for the
-     drain-grace window, and closes its connection. *)
-  List.iter Thread.join !readers
 
 let close_address addr fd =
   (try Unix.close fd with Unix.Unix_error _ -> ());

@@ -1,43 +1,20 @@
-(** The serve daemon: batched request processing over byte streams and
-    sockets, with a concurrent-connection frontend.
+(** The serve daemon: batched request processing behind the shared
+    connection {!Frontend}.
 
     One server value owns the worker pool ({!Admission}), the
     canonicalizing memo cache ({!Canon.Cache}), the running stats
-    counters and the per-request-kind latency histograms. Requests
-    arrive as lines; every chunk of complete lines read from a stream
-    is processed as one {i batch}: work requests (solve, campaign) go
+    counters and the per-request-kind latency histograms. Its
+    per-connection session answers each batch of lines the frontend
+    reads with {!process_batch}: work requests (solve, campaign) go
     through admission — shared across all live connections, the
     executor's live backlog charges the budget, excess is answered
     [overloaded] — and control requests (hello, stats, shutdown,
     malformed lines) are answered inline after the batch's work
     settles, so a [stats] request observes the solves that travelled
-    with it. Responses on one connection always come back in that
-    connection's request order.
-
-    {2 Concurrency model}
-
-    An acceptor thread ({!serve}) accepts connections and spawns one
-    {i reader} per connection (a systhread — readers are IO-bound; the
-    solving itself runs on the executor's worker domains), bounded by
-    [max_conns]: connections beyond the bound are answered with one
-    structured [overloaded] response and closed ({i refused}).
-    Connections interleave freely — each reader waits only on its own
-    batches via {!Crs_exec.Exec.Batch} handles — while per-connection
-    response order is preserved because each reader processes its own
-    batches sequentially.
-
-    {2 Edge robustness}
-
-    A connection that goes wrong dies alone; siblings keep serving:
-    - {i slow-loris}: a frame was started but not finished within
-      [idle_timeout_s] — structured [evicted] response, connection
-      closed (a quiet connection with no partial frame is just idle
-      and is never evicted);
-    - {i oversized frame}: a line longer than [max_line_bytes] —
-      structured error naming the limit, connection closed;
-    - {i malformed frames / mid-line EOF}: answered with structured
-      errors in-stream (a final unterminated line at EOF is still a
-      request); the connection lives on (EOF ends it normally).
+    with it. Each reader processes its own batches in turn, waiting
+    only on its own {!Crs_exec.Exec.Batch} handles, so connections
+    interleave freely while responses on one connection come back in
+    its request order.
 
     {2 Graceful drain}
 
@@ -45,7 +22,8 @@
     in-flight batches finish and their responses are written; for
     [drain_grace_s] each reader answers late requests with structured
     [draining] refusals; then every connection is closed and {!serve}
-    returns only after all readers have quiesced. *)
+    returns only after all readers have quiesced. Slow-loris,
+    oversized-frame and refusal handling are the {!Frontend}'s. *)
 
 type config = {
   workers : int;  (** pool domains for batch work *)
@@ -132,19 +110,12 @@ val warm_finish : t -> unit
 
 val serve_io : t -> input:Unix.file_descr -> output:Unix.file_descr -> unit
 (** Serve a single session until EOF on [input] or a [shutdown]
-    request: read chunks, batch complete lines, write responses.
-    Partial trailing lines are buffered across reads; a final
-    unterminated line at EOF is processed as its own batch. No idle
-    eviction and no drain grace — this is the stdio/pipeline mode. *)
+    request ({!Frontend.serve_io}): the stdio/pipeline mode, with no
+    idle eviction and no drain grace. *)
 
 val attach : t -> Unix.file_descr -> Thread.t option
-(** Register a connected stream fd as a live connection: spawns and
-    returns its reader thread (the caller joins it, as {!serve} does
-    for accepted connections), or — when the [max_conns] limit is
-    reached — writes one structured [overloaded] response, closes the
-    fd, counts the refusal and returns [None]. The reader closes the
-    fd when the session ends. Exposed so tests and benches can drive
-    the concurrent frontend over socketpairs without a listener. *)
+(** {!Frontend.attach} with this server's session: the reader thread of
+    a connected fd, or [None] when it was refused at [max_conns]. *)
 
 type address = Unix_sock of string | Tcp of string * int
 
@@ -162,10 +133,8 @@ val bind_address :
     create) — the error names the address and the system cause. *)
 
 val serve : t -> Unix.file_descr -> unit
-(** Concurrent accept loop on a listening socket: one reader thread
-    per accepted connection (via {!attach}), until a [shutdown]
-    request arrives; then joins every reader (graceful drain) before
-    returning. *)
+(** {!Frontend.serve} with this server's session: accept until a
+    [shutdown] request, then join every reader (graceful drain). *)
 
 val close_address : address -> Unix.file_descr -> unit
 (** Close the listening socket and remove a Unix socket path. *)

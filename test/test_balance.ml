@@ -1,8 +1,9 @@
 (* crs_serve balancer: rendezvous routing determinism, the PROTOCOL.md
    inventory tripwire, and end-to-end sharded-tier tests over real
    `crsched serve` worker processes — byte-identity through the
-   balancer, worker-kill-and-restart with exact accounting, and
-   warm-tier replay. Tests run in _build/default/test with the crsched
+   balancer, worker-kill-and-restart with exact accounting, warm-tier
+   replay, and test_serve's connection battery on the balancer's
+   frontend. Tests run in _build/default/test with the crsched
    binary at ../bin/crsched.exe (a dune dep). *)
 
 open Crs_core
@@ -343,6 +344,26 @@ let test_tier_kill_and_restart () =
             !refusals
             (balancer_stat t [ "balancer"; "refused" ])))
 
+(* test_serve's connection battery against a 1-shard balancer, which
+   must also keep its request accounting exact throughout. *)
+let with_balancer_front ~max_conns ~max_line_bytes f =
+  let cfg =
+    {
+      (tier_config ~socket_dir:(temp_dir ()) ~shards:1 ()) with
+      Balancer.max_conns;
+      max_line_bytes;
+    }
+  in
+  with_tier cfg (fun t ->
+      f
+        {
+          Test_serve.attach = Balancer.attach t;
+          connections =
+            (fun k -> balancer_stat t [ "balancer"; "connections"; k ]);
+          stopping = (fun () -> Balancer.stopping t);
+        };
+      check_accounting t)
+
 let test_tier_warm_replay () =
   let socket_dir = temp_dir () in
   let warm_state = temp_dir () in
@@ -408,3 +429,4 @@ let suite =
     Alcotest.test_case "tier: warm replay matches cold bytes" `Quick
       test_tier_warm_replay;
   ]
+  @ Test_serve.connection_battery with_balancer_front

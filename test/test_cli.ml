@@ -229,6 +229,98 @@ let test_serve_stdio () =
       Alcotest.(check bool) "shutdown acknowledged" true
         (has "\"stopping\":true" out))
 
+(* docs/OPERATIONS.md's flag tables against the binary: every row's
+   default must be the [absent=] value [--help=plain] prints ("off" for
+   a switch or an empty default, "serve defaults" for the flags balance
+   forwards to its shards), and every option needs a row. *)
+let help_defaults cmd =
+  let _, out = run_capture (cmd ^ " --help=plain") in
+  List.filter_map
+    (fun line ->
+      match String.split_on_char '(' (String.trim line) with
+      | option :: rest when String.starts_with ~prefix:"--" option ->
+        let flag = List.hd (String.split_on_char '=' (String.trim option)) in
+        let default =
+          match rest with
+          | [ d ] when String.starts_with ~prefix:"absent=" d ->
+            Some (String.sub d 7 (String.length d - 8))
+          | _ -> None
+        in
+        if List.mem flag [ "--help["; "--version" ] then None
+        else Some (flag, default)
+      | _ -> None)
+    (String.split_on_char '\n' out)
+
+let doc_flag_rows cmd =
+  let doc =
+    In_channel.with_open_text
+      (Filename.concat ".." (Filename.concat "docs" "OPERATIONS.md"))
+      In_channel.input_all
+  in
+  let rec section = function
+    | [] -> []
+    | l :: rest when l = Printf.sprintf "### `crsched %s`" cmd -> table rest
+    | _ :: rest -> section rest
+  and table = function
+    | l :: _ when String.starts_with ~prefix:"#" l -> []
+    | l :: rest -> (
+      match String.split_on_char '|' l with
+      | "" :: flags :: default :: _
+        when String.starts_with ~prefix:"`--" (String.trim flags) ->
+        let unquote s =
+          String.trim s |> String.split_on_char '`' |> String.concat ""
+        in
+        let flag f = List.hd (String.split_on_char ' ' (String.trim f)) in
+        List.map
+          (fun f -> (flag f, unquote default))
+          (String.split_on_char '/' (unquote flags))
+        @ table rest
+      | _ -> table rest)
+    | [] -> []
+  in
+  section (String.split_on_char '\n' doc)
+
+let test_operations_flag_tables () =
+  let serve = help_defaults "serve" in
+  let same doc binary =
+    match (doc, binary) with
+    | "off", None -> true
+    | d, Some b -> (
+      d = b
+      ||
+      match (float_of_string_opt d, float_of_string_opt b) with
+      | Some x, Some y -> x = y
+      | _ -> false)
+    | _, None -> false
+  in
+  List.iter
+    (fun (cmd, help) ->
+      let rows = doc_flag_rows cmd in
+      Alcotest.(check bool) (cmd ^ ": flag table found") true
+        (List.length rows > 5);
+      List.iter
+        (fun (flag, documented) ->
+          let documented =
+            if documented <> "serve defaults" then documented
+            else Option.value (List.assoc flag serve) ~default:"off"
+          in
+          match List.assoc_opt flag help with
+          | None -> Alcotest.failf "OPERATIONS.md: %s has no %s" cmd flag
+          | Some binary ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s %s: documented %s, binary %s" cmd flag
+                 documented
+                 (Option.value binary ~default:"(none)"))
+              true (same documented binary))
+        rows;
+      List.iter
+        (fun (flag, _) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "OPERATIONS.md documents %s %s" cmd flag)
+            true (List.mem_assoc flag rows))
+        help)
+    [ ("serve", serve); ("balance", help_defaults "balance") ]
+
 let suite =
   [
     Alcotest.test_case "gen | solve" `Quick test_gen_and_solve;
@@ -247,4 +339,6 @@ let suite =
     Alcotest.test_case "serve: parameter validation" `Quick
       test_serve_param_validation;
     Alcotest.test_case "serve --stdio session" `Quick test_serve_stdio;
+    Alcotest.test_case "OPERATIONS.md flag tables match --help" `Quick
+      test_operations_flag_tables;
   ]

@@ -84,13 +84,15 @@ let test_deque_concurrent_thieves () =
 (* ---- executor ---- *)
 
 let test_exec_map_order_preserved () =
-  let n = 500 in
-  let input = Array.init n (fun i -> i) in
-  let out = Exec.map ~domains:3 (fun i -> (2 * i) + 1) input in
-  Alcotest.(check int) "all results" n (Array.length out);
-  Array.iteri
-    (fun i r -> Alcotest.(check int) "order preserved" ((2 * i) + 1) r)
-    out
+  List.iter
+    (fun n ->
+      let input = Array.init n (fun i -> i) in
+      let out = Exec.map ~domains:3 (fun i -> (2 * i) + 1) input in
+      Alcotest.(check int) "all results" n (Array.length out);
+      Array.iteri
+        (fun i r -> Alcotest.(check int) "order preserved" ((2 * i) + 1) r)
+        out)
+    [ 500; 0 ]
 
 let test_exec_map_deterministic_across_domains () =
   (* Variable-cost work so stealing actually redistributes: results must

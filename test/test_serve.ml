@@ -435,9 +435,10 @@ let test_daemon_socketpair_smoke () =
 
 (* ---- the concurrent frontend (socketpair connections) ---- *)
 
-(* Tests drive the concurrent frontend through Server.attach: one
-   socketpair per connection, the server end registered exactly as the
-   accept loop would, the client end wrapped in a Loadgen.Client. *)
+(* Tests drive the concurrent frontend through an attach function
+   (Server.attach, or Balancer.attach in test_balance): one socketpair
+   per connection, the server end registered exactly as the accept loop
+   would, the client end wrapped in a Loadgen.Client. *)
 
 (* Queue sized so the concurrent batteries never trip admission —
    overload shedding has its own dedicated test above. *)
@@ -458,9 +459,13 @@ type conn = {
   reader : Thread.t option;
 }
 
-let open_conn server =
-  let server_fd, client_fd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  let reader = Server.attach server server_fd in
+let open_conn attach =
+  (* Close-on-exec: a balancer's respawned shard must not inherit the
+     client end, or closing it would never reach the reader as EOF. *)
+  let server_fd, client_fd =
+    Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0
+  in
+  let reader = attach server_fd in
   { client = Loadgen.Client.of_fd client_fd; client_fd; reader }
 
 let close_conn c =
@@ -517,7 +522,9 @@ let test_concurrent_connections_deterministic () =
                 ~extra:[ ("id", J.int ((100 * c) + j)) ]
                 instances.(j mod 3)
           in
-          let connections = Array.init conns (fun _ -> open_conn server) in
+          let connections =
+            Array.init conns (fun _ -> open_conn (Server.attach server))
+          in
           Array.iter
             (fun c ->
               Alcotest.(check bool) "connection admitted" true (c.reader <> None))
@@ -619,8 +626,8 @@ let test_adversarial_slow_loris () =
   with_server
     { conn_config with Server.idle_timeout_s = 0.15 }
     (fun server ->
-      let victim = open_conn server in
-      let sibling = open_conn server in
+      let victim = open_conn (Server.attach server) in
+      let sibling = open_conn (Server.attach server) in
       (* Half a frame, then silence. *)
       raw_send victim.client_fd {|{"proto":"crs-serve|};
       let r = Loadgen.Client.rpc sibling.client (solve_line (random_instance 7)) in
@@ -645,11 +652,23 @@ let test_adversarial_slow_loris () =
       close_conn victim;
       close_conn sibling)
 
-let test_adversarial_battery () =
-  with_server
-    { conn_config with Server.max_line_bytes = 256 }
-    (fun server ->
-      let sibling = open_conn server in
+(* ---- the connection battery, against both frontends ---- *)
+
+(* What the battery needs of a frontend's owner: its attach function,
+   a field of its [connections] stats, and its stop flag. [with_front]
+   runs a case on a fresh owner with the given limits; test_balance
+   registers the same cases against a 1-shard balancer. *)
+type front = {
+  attach : Unix.file_descr -> Thread.t option;
+  connections : string -> int;
+  stopping : unit -> bool;
+}
+
+let default_max_line = Server.default_config.Server.max_line_bytes
+
+let test_adversarial_battery with_front () =
+  with_front ~max_conns:64 ~max_line_bytes:256 (fun front ->
+      let sibling = open_conn front.attach in
       let solve_ok msg =
         let r =
           Loadgen.Client.rpc sibling.client (solve_line (random_instance 9))
@@ -658,7 +677,7 @@ let test_adversarial_battery () =
       in
       (* Mid-line EOF: the unterminated fragment is still answered (as a
          parse error), then the connection ends cleanly. *)
-      let c = open_conn server in
+      let c = open_conn front.attach in
       raw_send c.client_fd {|{"proto":"crs-serve/1","kind":|};
       Unix.shutdown c.client_fd Unix.SHUTDOWN_SEND;
       (match Loadgen.Client.recv_line c.client with
@@ -671,8 +690,8 @@ let test_adversarial_battery () =
       solve_ok "sibling unharmed by mid-line EOF";
       close_conn c;
       (* Oversized frame: structured error naming the limit, then the
-         poisoned connection is closed — alone. *)
-      let c = open_conn server in
+         poisoned connection is closed — alone — and counted evicted. *)
+      let c = open_conn front.attach in
       raw_send c.client_fd (String.make 300 'x' ^ "\n");
       (match Loadgen.Client.recv_line c.client with
       | Some r ->
@@ -683,10 +702,13 @@ let test_adversarial_battery () =
       | None -> Alcotest.fail "oversized frame dropped");
       Alcotest.(check (option string)) "poisoned connection closed" None
         (Loadgen.Client.recv_line c.client);
+      close_conn c;
+      Alcotest.(check int) "oversized frame counted as an eviction" 1
+        (front.connections "evicted");
       solve_ok "sibling unharmed by oversized frame";
       (* Garbage frame: answered with the parser's offset error; the
          same connection keeps serving. *)
-      let c = open_conn server in
+      let c = open_conn front.attach in
       raw_send c.client_fd "!!not json!!\n";
       (match Loadgen.Client.recv_line c.client with
       | Some r ->
@@ -702,13 +724,11 @@ let test_adversarial_battery () =
       close_conn c;
       close_conn sibling)
 
-let test_connection_refusal_beyond_max_conns () =
-  with_server
-    { conn_config with Server.max_conns = 2 }
-    (fun server ->
-      let a = open_conn server in
-      let b = open_conn server in
-      let c = open_conn server in
+let test_connection_refusal_beyond_max_conns with_front () =
+  with_front ~max_conns:2 ~max_line_bytes:default_max_line (fun front ->
+      let a = open_conn front.attach in
+      let b = open_conn front.attach in
+      let c = open_conn front.attach in
       Alcotest.(check bool) "first two admitted" true
         (a.reader <> None && b.reader <> None);
       Alcotest.(check bool) "third refused" true (c.reader = None);
@@ -721,8 +741,7 @@ let test_connection_refusal_beyond_max_conns () =
       | None -> Alcotest.fail "refused connection got no response");
       Alcotest.(check (option string)) "refused connection closed" None
         (Loadgen.Client.recv_line c.client);
-      Alcotest.(check int) "refused counted" 1
-        (stats_field server [ "connections"; "refused" ]);
+      Alcotest.(check int) "refused counted" 1 (front.connections "refused");
       (* The admitted connections still serve. *)
       let r = Loadgen.Client.rpc a.client (solve_line (random_instance 11)) in
       Alcotest.(check string) "admitted conn solves" "ok" (response_status r);
@@ -730,14 +749,14 @@ let test_connection_refusal_beyond_max_conns () =
       close_conn b;
       close_conn c)
 
-(* Satellite: graceful drain under load — in-flight requests travelling
-   with the shutdown finish and are answered; a late request on a
-   sibling connection gets a structured draining refusal; then every
-   connection quiesces to EOF. *)
-let test_graceful_drain_under_load () =
-  with_server conn_config (fun server ->
-      let a = open_conn server in
-      let b = open_conn server in
+(* Graceful drain under load — in-flight requests travelling with the
+   shutdown finish and are answered; a late request on a sibling
+   connection gets a structured draining refusal; then every connection
+   quiesces to EOF. *)
+let test_graceful_drain_under_load with_front () =
+  with_front ~max_conns:64 ~max_line_bytes:default_max_line (fun front ->
+      let a = open_conn front.attach in
+      let b = open_conn front.attach in
       let line kind id =
         J.obj
           [
@@ -766,7 +785,7 @@ let test_graceful_drain_under_load () =
       Alcotest.(check string) "in-flight solve 2 finished" "ok"
         (response_status r2);
       Alcotest.(check string) "shutdown acknowledged" "ok" (response_status r3);
-      Alcotest.(check bool) "stopping" true (Server.stopping server);
+      Alcotest.(check bool) "stopping" true (front.stopping ());
       (* Late request during the drain window: refused, structurally. *)
       Loadgen.Client.send_line b.client
         (solve_line ~extra:[ ("id", J.int 4) ] (random_instance 23));
@@ -785,13 +804,34 @@ let test_graceful_drain_under_load () =
       close_conn a;
       close_conn b;
       Alcotest.(check int) "both connections counted drained" 2
-        (stats_field server [ "connections"; "drained" ]))
+        (front.connections "drained"))
+
+let connection_battery with_front =
+  [
+    Alcotest.test_case "conns: adversarial frames die alone" `Quick
+      (test_adversarial_battery with_front);
+    Alcotest.test_case "conns: refusal beyond max-conns" `Quick
+      (test_connection_refusal_beyond_max_conns with_front);
+    Alcotest.test_case "conns: graceful drain under load" `Quick
+      (test_graceful_drain_under_load with_front);
+  ]
+
+let with_server_front ~max_conns ~max_line_bytes f =
+  with_server
+    { conn_config with Server.max_conns; max_line_bytes }
+    (fun server ->
+      f
+        {
+          attach = Server.attach server;
+          connections = (fun k -> stats_field server [ "connections"; k ]);
+          stopping = (fun () -> Server.stopping server);
+        })
 
 (* Satellite: loadgen multi-connection mode (deterministic smoke; the
    full-scale version runs under `dune build @stress`). *)
 let test_loadgen_multi_conn () =
   with_server conn_config (fun server ->
-      let conns = Array.init 2 (fun _ -> open_conn server) in
+      let conns = Array.init 2 (fun _ -> open_conn (Server.attach server)) in
       let clients = Array.map (fun c -> c.client) conns in
       let requests =
         List.init 12 (fun i -> solve_line (random_instance (60 + (i mod 4))))
@@ -1028,25 +1068,22 @@ let suite =
       test_latency_histogram_per_kind;
     Alcotest.test_case "conns: slow-loris evicted, sibling unharmed" `Quick
       test_adversarial_slow_loris;
-    Alcotest.test_case "conns: adversarial frames die alone" `Quick
-      test_adversarial_battery;
-    Alcotest.test_case "conns: refusal beyond max-conns" `Quick
-      test_connection_refusal_beyond_max_conns;
-    Alcotest.test_case "conns: graceful drain under load" `Quick
-      test_graceful_drain_under_load;
-    Alcotest.test_case "loadgen: multi-connection smoke" `Quick
-      test_loadgen_multi_conn;
-    Alcotest.test_case "config: backlog reaches listen(2)" `Quick
-      test_backlog_config;
-    Alcotest.test_case "address: parse and reject" `Quick test_parse_address;
-    Alcotest.test_case "warm: solve keys round-trip" `Quick
-      test_solve_key_roundtrip;
-    Alcotest.test_case "warm: cache keys come back MRU-first" `Quick
-      test_cache_keys_mru_first;
-    Alcotest.test_case "warm: drain hook fires exactly once" `Quick
-      test_drain_hook_fires_once;
-    Alcotest.test_case "warm: snapshot/replay round-trip, identical bytes"
-      `Quick test_warm_roundtrip_byte_identity;
-    Alcotest.test_case "warm: malformed files rejected with cause" `Quick
-      test_warm_bad_files;
   ]
+  @ connection_battery with_server_front
+  @ [
+      Alcotest.test_case "loadgen: multi-connection smoke" `Quick
+        test_loadgen_multi_conn;
+      Alcotest.test_case "config: backlog reaches listen(2)" `Quick
+        test_backlog_config;
+      Alcotest.test_case "address: parse and reject" `Quick test_parse_address;
+      Alcotest.test_case "warm: solve keys round-trip" `Quick
+        test_solve_key_roundtrip;
+      Alcotest.test_case "warm: cache keys come back MRU-first" `Quick
+        test_cache_keys_mru_first;
+      Alcotest.test_case "warm: drain hook fires exactly once" `Quick
+        test_drain_hook_fires_once;
+      Alcotest.test_case "warm: snapshot/replay round-trip, identical bytes"
+        `Quick test_warm_roundtrip_byte_identity;
+      Alcotest.test_case "warm: malformed files rejected with cause" `Quick
+        test_warm_bad_files;
+    ]
