@@ -864,607 +864,6 @@ let exp_campaign () =
   assert trace_signature_identical;
   assert gate_met
 
-(* ---------- serve: solver-as-a-service daemon ---------- *)
-
-let exp_serve ?(mode = `Run) () =
-  banner "serve" "solver-as-a-service daemon (crs-serve/1)"
-    "dynamic arrivals (closed-loop, Poisson, bursty — the workload shapes of \
-     dynamic vs batch scheduling) against a long-running daemon, then the \
-     concurrent frontend: interleaved connections must answer byte-identically \
-     to a single-connection run";
-  let module S = Crs_serve.Server in
-  let module L = Crs_serve.Loadgen in
-  let module P = Crs_serve.Protocol in
-  let module J = Crs_util.Stable_json in
-  let closed_n, poisson_n, bursty_n, conns, multi_n, ident_per_conn =
-    match mode with
-    | `Run -> (400, 300, 300, 4, 400, 25)
-    | `Smoke -> (40, 20, 20, 2, 24, 6)
-  in
-  (* Queue sized above the identity pass's worst case (4 connections x
-     25 pipelined solves all admitted at once). *)
-  let config =
-    {
-      S.default_config with
-      S.workers = 2;
-      queue = 128;
-      cache_capacity = 128;
-      default_fuel = Some 5_000_000;
-      drain_grace_s = 0.2;
-    }
-  in
-  let server_fd, client_fd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  let server = S.create config in
-  let daemon =
-    Domain.spawn (fun () ->
-        S.serve_io server ~input:server_fd ~output:server_fd;
-        S.drain server)
-  in
-  let client = L.Client.of_fd client_fd in
-  (* Eight distinct m=3 instances, cycled — a repeated-instance workload
-     where all but the first occurrence of each should hit the cache. *)
-  let gen_spec =
-    { Crs_generators.Random_gen.default_spec with m = 3; jobs_min = 3; jobs_max = 3 }
-  in
-  let instances =
-    Array.init 8 (fun i ->
-        Crs_generators.Random_gen.instance ~spec:gen_spec
-          (Random.State.make [| 100 + i |]))
-  in
-  let solve_line instance =
-    J.obj
-      [
-        ("proto", J.str P.version);
-        ("kind", J.str "solve");
-        ("instance", J.str (Instance.to_string instance));
-        ("algorithm", J.str R.Names.greedy_balance);
-      ]
-  in
-  let workload n = List.init n (fun i -> solve_line instances.(i mod 8)) in
-  let closed = L.run client ~arrival:L.Closed_loop ~requests:(workload closed_n) in
-  let poisson =
-    L.run ~seed:2 client ~arrival:(L.Poisson { rate = 2000.0 })
-      ~requests:(workload poisson_n)
-  in
-  let bursty =
-    L.run ~seed:3 client ~arrival:(L.Bursty { burst = 20; rate = 50.0 })
-      ~requests:(workload bursty_n)
-  in
-  (* Canonical equivalence: a processor permutation and a zero-padded
-     variant of the same instance must get byte-identical responses. *)
-  let base = instances.(0) in
-  let permuted = Instance.sub_processors base [ 2; 1; 0 ] in
-  let padded = Crs_fuzz.Oracle.zero_pad_instance base in
-  let r_base = L.Client.rpc client (solve_line base) in
-  let r_perm = L.Client.rpc client (solve_line permuted) in
-  let r_pad = L.Client.rpc client (solve_line padded) in
-  let byte_identical = String.equal r_base r_perm && String.equal r_base r_pad in
-  let stats_line =
-    J.obj [ ("proto", J.str P.version); ("kind", J.str "stats") ]
-  in
-  let hello_line =
-    J.obj [ ("proto", J.str P.version); ("kind", J.str "hello") ]
-  in
-  (* hello seeds the control histogram; the first stats request seeds the
-     stats histogram (a request's latency lands after its own response is
-     assembled), so the SECOND stats response carries a sample for every
-     kind this workload exercised. *)
-  ignore (L.Client.rpc client hello_line);
-  ignore (L.Client.rpc client stats_line);
-  let stats_json =
-    match J.parse (L.Client.rpc client stats_line) with
-    | Ok v -> v
-    | Error msg -> failwith ("serve stats response unparseable: " ^ msg)
-  in
-  let cache_int field =
-    match Option.bind (J.member "cache" stats_json) (J.member field) with
-    | Some (J.Int i) -> i
-    | _ -> failwith ("serve stats: missing cache." ^ field)
-  in
-  let lat_int kind field =
-    match
-      Option.bind (J.member "latency" stats_json) (fun l ->
-          Option.bind (J.member kind l) (J.member field))
-    with
-    | Some (J.Int i) -> i
-    | _ -> failwith (Printf.sprintf "serve stats: missing latency.%s.%s" kind field)
-  in
-  let hits = cache_int "hits" and misses = cache_int "misses" in
-  let hit_rate = float_of_int hits /. Float.max 1.0 (float_of_int (hits + misses)) in
-  let shutdown_line =
-    J.obj [ ("proto", J.str P.version); ("kind", J.str "shutdown") ]
-  in
-  ignore (L.Client.rpc client shutdown_line);
-  Domain.join daemon;
-  Unix.close client_fd;
-  Unix.close server_fd;
-  (* ---- phase 2: the concurrent frontend ---- *)
-  (* A fresh server driven through Server.attach over socketpairs — the
-     exact reader path the accept loop uses, minus the listener. The
-     cache is prewarmed by computing the goldens, so the concurrent run
-     is all hits and the responses are the canonical bytes. *)
-  let server2 = S.create config in
-  let golden = Array.map (fun i -> S.handle_line server2 (solve_line i)) instances in
-  let conn_fds =
-    Array.init conns (fun _ -> Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0)
-  in
-  let readers =
-    Array.map
-      (fun (sfd, _) ->
-        match S.attach server2 sfd with
-        | Some th -> th
-        | None -> failwith "serve bench: connection refused below max-conns")
-      conn_fds
-  in
-  let clients = Array.map (fun (_, cfd) -> L.Client.of_fd cfd) conn_fds in
-  let multi =
-    L.run_multi ~seed:5 clients ~arrival:L.Closed_loop ~requests:(workload multi_n)
-  in
-  (* Interleaved byte-identity: every connection pipelines its whole
-     slice in one write (maximal interleaving on the server), then reads
-     back positionally; each response must equal the single-connection
-     golden for its instance. *)
-  let ident_failures = Atomic.make 0 in
-  let ident_threads =
-    Array.mapi
-      (fun c cl ->
-        Thread.create
-          (fun () ->
-            let ks = List.init ident_per_conn (fun j -> (c + j) mod 8) in
-            List.iter
-              (fun k -> L.Client.send_line cl (solve_line instances.(k)))
-              ks;
-            List.iter
-              (fun k ->
-                match L.Client.recv_line cl with
-                | Some r when String.equal r golden.(k) -> ()
-                | _ -> Atomic.incr ident_failures)
-              ks)
-          ())
-      clients
-  in
-  Array.iter Thread.join ident_threads;
-  let concurrent_byte_identical = Atomic.get ident_failures = 0 in
-  let stats2_json =
-    match J.parse (J.obj (S.stats_payload server2)) with
-    | Ok v -> v
-    | Error msg -> failwith ("serve stats payload unparseable: " ^ msg)
-  in
-  let conn_int field =
-    match Option.bind (J.member "connections" stats2_json) (J.member field) with
-    | Some (J.Int i) -> i
-    | _ -> failwith ("serve stats: missing connections." ^ field)
-  in
-  let accepted = conn_int "accepted" and refused = conn_int "refused" in
-  ignore (L.Client.rpc clients.(0) shutdown_line);
-  Array.iter Thread.join readers;
-  Array.iter
-    (fun (_, cfd) -> try Unix.close cfd with Unix.Unix_error _ -> ())
-    conn_fds;
-  S.drain server2;
-  (* ---- phase 3: the sharded tier ---- *)
-  (* The balancer in-process, the shards as real `crsched serve`
-     subprocesses — the full `crsched balance` data path minus only the
-     public listener. Cold tier: a corpus hit-rate window, closed-loop
-     throughput across connections, byte-identity against the phase-2
-     single-process goldens (the sharding guarantee), and — in full
-     runs — a kill -9 restart under load with exact accounting. The
-     drain snapshots every shard's warm state; a second tier on the
-     same state must replay it and beat the cold hit rate. *)
-  let module B = Crs_serve.Balancer in
-  let crsched_exe =
-    Filename.concat
-      (Filename.dirname Sys.executable_name)
-      (Filename.concat ".." (Filename.concat "bin" "crsched.exe"))
-  in
-  let shards3 = match mode with `Run -> 3 | `Smoke -> 2 in
-  let corpus_passes = match mode with `Run -> 5 | `Smoke -> 2 in
-  let kill_reqs = match mode with `Run -> 200 | `Smoke -> 0 in
-  let fresh_dir name =
-    let dir =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "crs-bench-%s-%d" name (Unix.getpid ()))
-    in
-    (try Unix.mkdir dir 0o700 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-    dir
-  in
-  let rec rm_rf path =
-    match (Unix.lstat path).Unix.st_kind with
-    | Unix.S_DIR ->
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      (try Unix.rmdir path with Unix.Unix_error _ -> ())
-    | _ -> (try Sys.remove path with Sys_error _ -> ())
-    | exception Unix.Unix_error _ -> ()
-  in
-  let socket_dir = fresh_dir "shards" in
-  let warm_dir = fresh_dir "warm" in
-  let shard_argv ~index ~socket =
-    [|
-      crsched_exe; "serve"; "--listen"; "unix:" ^ socket; "--workers"; "1";
-      "--queue"; "128"; "--cache"; "128"; "--warm-state"; warm_dir;
-      "--warm-id"; Printf.sprintf "shard-%d" index;
-    |]
-  in
-  let tier_cfg =
-    {
-      (B.default_config ~shards:shards3 ~socket_dir ~shard_argv) with
-      B.health_interval_s = 0.5;
-      restart_backoff_s = 0.05;
-      drain_grace_s = 0.2;
-    }
-  in
-  let with_tier f =
-    match B.create tier_cfg with
-    | Error msg -> failwith ("serve bench: " ^ msg)
-    | Ok t -> Fun.protect ~finally:(fun () -> B.drain t) (fun () -> f t)
-  in
-  let open_tier_conn t =
-    let bfd, cfd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    (* Without close-on-exec, a respawned shard would inherit the client
-       end and the reader would never see EOF. *)
-    Unix.set_close_on_exec cfd;
-    match B.attach t bfd with
-    | Some reader -> (cfd, L.Client.of_fd cfd, reader)
-    | None -> failwith "serve bench: balancer refused a connection"
-  in
-  let close_tier_conn (cfd, _, reader) =
-    (try Unix.close cfd with Unix.Unix_error _ -> ());
-    Thread.join reader
-  in
-  let tier_stat t path =
-    match J.parse (J.obj (B.stats_payload t)) with
-    | Error msg -> failwith ("balancer stats unparseable: " ^ msg)
-    | Ok json -> (
-      let rec walk json = function
-        | [] -> Some json
-        | k :: rest -> (
-          match (json, int_of_string_opt k) with
-          | J.List items, Some i when i >= 0 && i < List.length items ->
-            walk (List.nth items i) rest
-          | _ -> Option.bind (J.member k json) (fun j -> walk j rest))
-      in
-      match walk json path with
-      | Some (J.Int v) -> v
-      | _ -> failwith ("balancer stats lack " ^ String.concat "." path))
-  in
-  (* Hit rate over a bounded request window (stat deltas), not lifetime
-     counters — warm replay itself counts as misses on the shard, which
-     is exactly the cost warming moves off the request path. *)
-  let hit_window t f =
-    let h0 = tier_stat t [ "cache"; "hits" ]
-    and m0 = tier_stat t [ "cache"; "misses" ] in
-    f ();
-    let dh = tier_stat t [ "cache"; "hits" ] - h0
-    and dm = tier_stat t [ "cache"; "misses" ] - m0 in
-    float_of_int dh /. Float.max 1.0 (float_of_int (dh + dm))
-  in
-  let corpus = List.init (corpus_passes * 8) (fun i -> i mod 8) in
-  let sharded_ident_failures = ref 0 in
-  let cold_hit_rate = ref 0.0 in
-  let sharded = ref None in
-  let restart_ok = ref (kill_reqs = 0) in
-  let restart_refused = ref 0 in
-  let restart_restarts = ref 0 in
-  let accounting_ok = ref false in
-  with_tier (fun t ->
-      let conns3 = Array.init conns (fun _ -> open_tier_conn t) in
-      Fun.protect
-        ~finally:(fun () -> Array.iter close_tier_conn conns3)
-        (fun () ->
-          let _, c0, _ = conns3.(0) in
-          cold_hit_rate :=
-            hit_window t (fun () ->
-                List.iter
-                  (fun k ->
-                    ignore (L.Client.rpc c0 (solve_line instances.(k))))
-                  corpus);
-          Array.iteri
-            (fun k i ->
-              let m = Instance.m i in
-              let permuted =
-                Instance.sub_processors i (List.init m (fun j -> m - 1 - j))
-              in
-              let padded = Crs_fuzz.Oracle.zero_pad_instance i in
-              List.iter
-                (fun v ->
-                  if
-                    not
-                      (String.equal golden.(k)
-                         (L.Client.rpc c0 (solve_line v)))
-                  then incr sharded_ident_failures)
-                [ i; permuted; padded ])
-            instances;
-          let clients3 = Array.map (fun (_, c, _) -> c) conns3 in
-          sharded :=
-            Some
-              (L.run_multi ~seed:7 clients3 ~arrival:L.Closed_loop
-                 ~requests:(workload multi_n));
-          if kill_reqs > 0 then begin
-            let statuses = Array.make kill_reqs "?" in
-            let driver =
-              Thread.create
-                (fun () ->
-                  for i = 0 to kill_reqs - 1 do
-                    let r = L.Client.rpc c0 (solve_line instances.(i mod 8)) in
-                    statuses.(i) <-
-                      (match J.parse r with
-                      | Ok j -> (
-                        match J.member "status" j with
-                        | Some (J.Str s) -> s
-                        | _ -> "?")
-                      | Error _ -> "?")
-                  done)
-                ()
-            in
-            Thread.delay 0.01;
-            let victim = (B.shard_pids t).(0) in
-            if victim > 0 then Unix.kill victim Sys.sigkill;
-            Thread.join driver;
-            (* The tier must answer ok again for a key routed to the
-               killed shard — proof the monitor brought it back. *)
-            let routed0 =
-              Array.to_list instances
-              |> List.find_opt (fun i ->
-                     B.route ~shards:shards3 (Crs_serve.Canon.key i) = 0)
-            in
-            let recovered =
-              match routed0 with
-              | None -> true
-              | Some i ->
-                let rec go n =
-                  n > 0
-                  &&
-                  match
-                    J.parse (L.Client.rpc c0 (solve_line i))
-                    |> Result.to_option
-                    |> Fun.flip Option.bind (J.member "status")
-                  with
-                  | Some (J.Str "ok") -> true
-                  | _ ->
-                    Thread.delay 0.01;
-                    go (n - 1)
-                in
-                go 400
-            in
-            let count s =
-              Array.fold_left
-                (fun acc x -> if String.equal x s then acc + 1 else acc)
-                0 statuses
-            in
-            restart_refused := count "overloaded";
-            restart_ok :=
-              recovered && count "ok" + !restart_refused = kill_reqs;
-            (* The kill wiped the victim's cache; one full corpus pass
-               repopulates it so the drain snapshot (and the warm gate)
-               covers all eight keys again. *)
-            Array.iter
-              (fun i -> ignore (L.Client.rpc c0 (solve_line i)))
-              instances
-          end;
-          accounting_ok :=
-            tier_stat t [ "balancer"; "accepted" ]
-            = tier_stat t [ "balancer"; "answered" ]
-              + tier_stat t [ "balancer"; "refused" ];
-          restart_restarts := tier_stat t [ "balancer"; "restarts" ]));
-  let warm_hit_rate = ref 0.0 in
-  let warm_replayed = ref 0 in
-  with_tier (fun t ->
-      for s = 0 to shards3 - 1 do
-        warm_replayed :=
-          !warm_replayed
-          + tier_stat t
-              [ "balancer"; "shard"; string_of_int s; "warm"; "replayed" ]
-      done;
-      let conn = open_tier_conn t in
-      Fun.protect
-        ~finally:(fun () -> close_tier_conn conn)
-        (fun () ->
-          let _, c, _ = conn in
-          warm_hit_rate :=
-            hit_window t (fun () ->
-                List.iter
-                  (fun k ->
-                    if
-                      not
-                        (String.equal golden.(k)
-                           (L.Client.rpc c (solve_line instances.(k))))
-                    then incr sharded_ident_failures)
-                  corpus)));
-  rm_rf socket_dir;
-  rm_rf warm_dir;
-  let sharded =
-    match !sharded with Some s -> s | None -> failwith "sharded stats missing"
-  in
-  let row name (s : L.stats) =
-    [
-      name; string_of_int s.L.sent; string_of_int s.L.received;
-      Printf.sprintf "%.0f" s.L.throughput_rps;
-      Printf.sprintf "%.3f" s.L.p50_ms; Printf.sprintf "%.3f" s.L.p99_ms;
-    ]
-  in
-  print_string
-    (T.render
-       ~header:[ "arrival"; "sent"; "recv"; "req/s"; "p50 ms"; "p99 ms" ]
-       [ row "closed-loop" closed; row "poisson(2000/s)" poisson;
-         row "bursty(20@50/s)" bursty;
-         row (Printf.sprintf "multi-conn(%d)" conns) multi;
-         row (Printf.sprintf "sharded(%d)" shards3) sharded ]);
-  Printf.printf
-    "sharded tier: cold hit rate %.3f, warm hit rate %.3f (replayed %d), \
-     restarts %d, refused during outage %d\n"
-    !cold_hit_rate !warm_hit_rate !warm_replayed !restart_restarts
-    !restart_refused;
-  Printf.printf "cache: %d hits / %d misses (hit rate %.3f)\n" hits misses
-    hit_rate;
-  Printf.printf "canonical equivalence responses byte-identical: %b\n"
-    byte_identical;
-  Printf.printf
-    "concurrent responses byte-identical to single-connection goldens: %b\n"
-    concurrent_byte_identical;
-  let lat_kinds = [ "solve"; "campaign"; "stats"; "control" ] in
-  List.iter
-    (fun kind ->
-      Printf.printf "latency.%s: count %d, p50 <= %d us, p99 <= %d us, max %d us\n"
-        kind (lat_int kind "count") (lat_int kind "p50_us")
-        (lat_int kind "p99_us") (lat_int kind "max_us"))
-    lat_kinds;
-  Printf.printf "connections: %d accepted, %d refused\n" accepted refused;
-  let complete (s : L.stats) = s.L.received = s.L.sent && s.L.sent > 0 in
-  let worst_p99 = Float.max closed.L.p99_ms (Float.max poisson.L.p99_ms bursty.L.p99_ms) in
-  let gate_cache = hit_rate > 0.0 in
-  let gate_complete =
-    complete closed && complete poisson && complete bursty && complete multi
-  in
-  let gate_accounting = accepted = conns && refused = 0 in
-  (* Per-kind server-side p99 (log2 bucket upper edge, so the gate is a
-     power of two): 2^18 us ~ 262 ms, in line with the 250 ms
-     client-side gate. Campaign saw no traffic here; gate the kinds the
-     workload exercised. *)
-  let p99_gate_us = 262144 in
-  let gated_kinds = [ "solve"; "stats"; "control" ] in
-  let gate_per_kind_p99 =
-    List.for_all
-      (fun kind ->
-        lat_int kind "count" > 0 && lat_int kind "p99_us" <= p99_gate_us)
-      gated_kinds
-  in
-  let gate_throughput = closed.L.throughput_rps >= 200.0 in
-  (* The multi-connection gate is conservative: this box may be a single
-     core, so concurrency buys interleaving, not parallel solving. *)
-  let gate_multi_throughput = multi.L.throughput_rps >= 150.0 in
-  let gate_p99 = worst_p99 <= 250.0 in
-  (* Sharded-tier gates. The throughput floor matches the multi-conn
-     gate: fanning out across worker processes must not cost the tier
-     its single-process concurrency floor. *)
-  let sharded_byte_identical = !sharded_ident_failures = 0 in
-  let gate_sharded_throughput = sharded.L.throughput_rps >= 150.0 in
-  let gate_sharded_complete = complete sharded in
-  let gate_warm = !warm_replayed >= 8 && !warm_hit_rate > !cold_hit_rate in
-  let gate_restart =
-    !restart_ok && !accounting_ok && (kill_reqs = 0 || !restart_restarts >= 1)
-  in
-  (match mode with
-  | `Smoke ->
-    Printf.printf
-      "smoke run: timings carry no signal, timing gates not judged \
-       (correctness asserts still run)\n";
-    assert gate_complete;
-    assert gate_cache;
-    assert byte_identical;
-    assert concurrent_byte_identical;
-    assert gate_accounting;
-    assert gate_sharded_complete;
-    assert sharded_byte_identical;
-    assert gate_warm;
-    assert gate_restart
-  | `Run ->
-    Printf.printf
-      "gates: throughput>=200rps %b, multi_conn>=150rps %b, p99<=250ms %b \
-       (worst %.3f), per_kind_p99<=%dus %b, hit_rate>0 %b, all_answered %b, \
-       byte_identical %b, concurrent_byte_identical %b, accounting %b\n"
-      gate_throughput gate_multi_throughput gate_p99 worst_p99 p99_gate_us
-      gate_per_kind_p99 gate_cache gate_complete byte_identical
-      concurrent_byte_identical gate_accounting;
-    Printf.printf
-      "gates: sharded_throughput>=150rps %b, sharded_byte_identical %b, \
-       warm_hit_rate>cold %b (%.3f > %.3f), restart_accounting %b\n"
-      gate_sharded_throughput sharded_byte_identical gate_warm !warm_hit_rate
-      !cold_hit_rate gate_restart;
-    let stats_obj (s : L.stats) =
-      J.obj
-        [
-          ("sent", J.int s.L.sent);
-          ("received", J.int s.L.received);
-          ("throughput_rps", J.float s.L.throughput_rps);
-          ("p50_ms", J.float s.L.p50_ms);
-          ("p99_ms", J.float s.L.p99_ms);
-          ("max_ms", J.float s.L.max_ms);
-        ]
-    in
-    let lat_obj kind =
-      J.obj
-        [
-          ("count", J.int (lat_int kind "count"));
-          ("p50_us", J.int (lat_int kind "p50_us"));
-          ("p99_us", J.int (lat_int kind "p99_us"));
-          ("max_us", J.int (lat_int kind "max_us"));
-        ]
-    in
-    let json =
-      J.obj
-        [
-          ("closed_loop", stats_obj closed);
-          ("poisson", stats_obj poisson);
-          ("bursty", stats_obj bursty);
-          ( "multi_conn",
-            J.obj
-              [
-                ("conns", J.int conns);
-                ("sent", J.int multi.L.sent);
-                ("received", J.int multi.L.received);
-                ("throughput_rps", J.float multi.L.throughput_rps);
-                ("p50_ms", J.float multi.L.p50_ms);
-                ("p99_ms", J.float multi.L.p99_ms);
-                ("byte_identical", J.bool concurrent_byte_identical);
-              ] );
-          ( "latency_us",
-            J.obj (List.map (fun kind -> (kind, lat_obj kind)) lat_kinds) );
-          ( "connections",
-            J.obj [ ("accepted", J.int accepted); ("refused", J.int refused) ]
-          );
-          ( "cache",
-            J.obj
-              [
-                ("hits", J.int hits);
-                ("misses", J.int misses);
-                ("hit_rate", J.float hit_rate);
-              ] );
-          ("byte_identical", J.bool byte_identical);
-          ( "sharded",
-            J.obj
-              [
-                ("shards", J.int shards3);
-                ("sent", J.int sharded.L.sent);
-                ("received", J.int sharded.L.received);
-                ("throughput_rps", J.float sharded.L.throughput_rps);
-                ("p50_ms", J.float sharded.L.p50_ms);
-                ("p99_ms", J.float sharded.L.p99_ms);
-                ("cold_hit_rate", J.float !cold_hit_rate);
-                ("warm_hit_rate", J.float !warm_hit_rate);
-                ("warm_replayed", J.int !warm_replayed);
-                ("restarts", J.int !restart_restarts);
-                ("refused_during_outage", J.int !restart_refused);
-                ("byte_identical", J.bool sharded_byte_identical);
-              ] );
-          ( "gates",
-            J.obj
-              [
-                ("throughput", J.bool gate_throughput);
-                ("multi_conn_throughput", J.bool gate_multi_throughput);
-                ("p99", J.bool gate_p99);
-                ("per_kind_p99", J.bool gate_per_kind_p99);
-                ("cache_hit_rate", J.bool gate_cache);
-                ("all_answered", J.bool gate_complete);
-                ("byte_identical", J.bool byte_identical);
-                ("concurrent_byte_identical", J.bool concurrent_byte_identical);
-                ("conn_accounting", J.bool gate_accounting);
-                ("sharded_throughput", J.bool gate_sharded_throughput);
-                ("sharded_byte_identical", J.bool sharded_byte_identical);
-                ("warm_hit_rate_gt_cold", J.bool gate_warm);
-                ("restart_accounting", J.bool gate_restart);
-              ] );
-        ]
-    in
-    Out_channel.with_open_text "BENCH_serve.json" (fun oc ->
-        Out_channel.output_string oc (json ^ "\n"));
-    Printf.printf "wrote BENCH_serve.json\n";
-    assert (gate_throughput && gate_multi_throughput && gate_p99
-            && gate_per_kind_p99 && gate_cache && gate_complete
-            && byte_identical && concurrent_byte_identical && gate_accounting
-            && gate_sharded_throughput && gate_sharded_complete
-            && sharded_byte_identical && gate_warm && gate_restart))
-
 (* ---------- registry: dispatch overhead ---------- *)
 
 let exp_registry ?(mode = `Run) () =
@@ -2051,18 +1450,16 @@ let exp_dp ?(mode = `Run) () =
 (* ---------- smoke: tiny-n pass over every gated experiment ---------- *)
 
 (* `dune build @bench-smoke` runs this: exercises the num / obs / dp /
-   registry / serve experiment machinery end to end at sizes where each
-   takes well under a second, writes no files and judges no timing gates
-   (correctness asserts — differential checks, kernel parity, the serve
-   frontend's concurrent byte-identity over >= 2 live connections —
-   still run). Catches bit-rot in the bench harness itself without
-   paying for a full calibrated run. *)
+   registry experiment machinery end to end at sizes where each takes
+   well under a second, writes no files and judges no timing gates
+   (correctness asserts — differential checks, kernel parity — still
+   run). Catches bit-rot in the bench harness itself without paying for
+   a full calibrated run. *)
 let smoke () =
   exp_num ~mode:`Check ();
   exp_obs ~mode:`Smoke ();
   exp_dp ~mode:`Smoke ();
-  exp_registry ~mode:`Smoke ();
-  exp_serve ~mode:`Smoke ()
+  exp_registry ~mode:`Smoke ()
 
 (* ---------- Bechamel micro-benchmarks ---------- *)
 
@@ -2131,7 +1528,6 @@ let experiments =
     ("l56", exp_l56); ("mc", exp_mc); ("ext", exp_ext); ("bp", exp_bp);
     ("dc", exp_dc); ("fa", exp_fa); ("mr", exp_mr); ("ablation", exp_ablation);
     ("campaign", exp_campaign); ("registry", fun () -> exp_registry ());
-    ("serve", fun () -> exp_serve ());
     ("fuzz", exp_fuzz); ("num", fun () -> exp_num ());
     ("obs", fun () -> exp_obs ());
     ("dp", fun () -> exp_dp ());

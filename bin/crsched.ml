@@ -354,9 +354,11 @@ let campaign_cmd =
       domains
       (if domains > 1 then "s" else "");
     if metrics then Crs_obs.Metrics.set_enabled true;
-    let t0 = Unix.gettimeofday () in
+    let t0 = Crs_obs.Clock.monotonic_ns () in
     let records = Crs_campaign.Runner.run ~domains spec in
-    let elapsed = Unix.gettimeofday () -. t0 in
+    let elapsed =
+      Int64.to_float (Int64.sub (Crs_obs.Clock.monotonic_ns ()) t0) /. 1e9
+    in
     if metrics then begin
       let snapshot = Crs_obs.Metrics.snapshot () in
       Crs_obs.Metrics.set_enabled false;

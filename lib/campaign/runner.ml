@@ -15,7 +15,9 @@ let default_names =
 
 let algorithm_names = Registry.names
 
-let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
+(* Monotonic, so a wall-clock step can never record a negative
+   [wall_ns]. *)
+let now_ns () = Int64.to_int (Crs_obs.Clock.monotonic_ns ())
 
 type 'a metered =
   | Value of 'a

@@ -1,12 +1,14 @@
-(* Concurrent serve-frontend stress for the @stress alias: full-scale
-   Loadgen.run_multi over 4 live connections — a heavy closed-loop
-   pass, a bursty open-loop pass, then a maximally-pipelined
-   byte-identity pass against single-connection goldens — plus exact
-   connection accounting and a graceful shutdown. Tier-1 runs the same
-   machinery at smoke scale (test_serve); this is the torture loop. *)
+(* Concurrent serve-frontend stress for the @stress alias: 4 live
+   connections over Frontend.Lines — a heavy closed-loop pass (one
+   thread per connection), a burst pass (a sender thread per connection
+   writes bursts of 25 while the connection's own thread reads), then a
+   maximally-pipelined byte-identity pass against single-connection
+   goldens — plus exact connection accounting and a graceful shutdown.
+   Tier-1 runs the same frontend at smoke scale (test_serve); this is
+   the torture loop. *)
 
 module S = Crs_serve.Server
-module L = Crs_serve.Loadgen
+module Lines = Crs_serve.Frontend.Lines
 module P = Crs_serve.Protocol
 module J = Crs_util.Stable_json
 
@@ -63,55 +65,78 @@ let () =
         | None -> failwith "serve stress: connection refused below max-conns")
       fds
   in
-  let clients = Array.map (fun (_, cfd) -> L.Client.of_fd cfd) fds in
-  let workload n = List.init n (fun i -> solve_line instances.(i mod 16)) in
+  let clients = Array.map (fun (_, cfd) -> Lines.of_fd cfd) fds in
+  (* Request k of a pass goes to connection k mod conns; each connection
+     reads its answers back in its own request order. *)
+  let slice c n = List.init (n / conns) (fun j -> (c + (j * conns)) mod 16) in
+  let on_each_conn f =
+    let counts = Array.make conns 0 in
+    let threads =
+      Array.mapi
+        (fun c cl -> Thread.create (fun () -> counts.(c) <- f c cl) ())
+        clients
+    in
+    Array.iter Thread.join threads;
+    Array.fold_left ( + ) 0 counts
+  in
+  let answered cl k =
+    match Lines.recv_line cl with
+    | Some r when String.equal r golden.(k) -> 1
+    | _ -> 0
+  in
   let closed =
-    L.run_multi ~seed:11 clients ~arrival:L.Closed_loop ~requests:(workload 2000)
+    on_each_conn (fun c cl ->
+        List.fold_left
+          (fun acc k ->
+            Lines.send_line cl (solve_line instances.(k));
+            acc + answered cl k)
+          0 (slice c 2000))
   in
-  if closed.L.sent <> 2000 || closed.L.received <> 2000 then
+  if closed <> 2000 then
     failwith
-      (Printf.sprintf "closed-loop lost requests: sent %d received %d"
-         closed.L.sent closed.L.received);
+      (Printf.sprintf "closed-loop: %d of 2000 answered byte-identically"
+         closed);
   Printf.printf "stress ok: closed-loop %d requests over %d connections\n%!"
-    closed.L.received conns;
+    closed conns;
+  (* Bursts of 25 back-to-back lines, 25 ms apart, written by a sender
+     thread while this connection's thread is already reading. *)
   let bursty =
-    L.run_multi ~seed:12 clients
-      ~arrival:(L.Bursty { burst = 25; rate = 40.0 })
-      ~requests:(workload 1000)
+    on_each_conn (fun c cl ->
+        let ks = slice c 1000 in
+        let sender =
+          Thread.create
+            (fun () ->
+              List.iteri
+                (fun j k ->
+                  if j > 0 && j mod 25 = 0 then Thread.delay 0.025;
+                  Lines.send_line cl (solve_line instances.(k)))
+                ks)
+            ()
+        in
+        let n = List.fold_left (fun acc k -> acc + answered cl k) 0 ks in
+        Thread.join sender;
+        n)
   in
-  if bursty.L.sent <> 1000 || bursty.L.received <> 1000 then
+  if bursty <> 1000 then
     failwith
-      (Printf.sprintf "bursty lost requests: sent %d received %d" bursty.L.sent
-         bursty.L.received);
+      (Printf.sprintf "bursty: %d of 1000 answered byte-identically" bursty);
   Printf.printf "stress ok: bursty %d requests over %d connections\n%!"
-    bursty.L.received conns;
+    bursty conns;
   (* Maximal interleaving: every connection pipelines its whole slice
      in one burst of writes, then reads back positionally; each
      response must be byte-identical to the single-connection golden. *)
-  let mismatches = Atomic.make 0 in
-  let threads =
-    Array.mapi
-      (fun c cl ->
-        Thread.create
-          (fun () ->
-            let ks = List.init 200 (fun j -> (c + j) mod 16) in
-            List.iter (fun k -> L.Client.send_line cl (solve_line instances.(k))) ks;
-            List.iter
-              (fun k ->
-                match L.Client.recv_line cl with
-                | Some r when String.equal r golden.(k) -> ()
-                | _ -> Atomic.incr mismatches)
-              ks)
-          ())
-      clients
+  let pipelined =
+    on_each_conn (fun c cl ->
+        let ks = List.init 200 (fun j -> (c + j) mod 16) in
+        List.iter (fun k -> Lines.send_line cl (solve_line instances.(k))) ks;
+        List.fold_left (fun acc k -> acc + answered cl k) 0 ks)
   in
-  Array.iter Thread.join threads;
-  if Atomic.get mismatches <> 0 then
+  if pipelined <> conns * 200 then
     failwith
       (Printf.sprintf "%d concurrent responses diverged from the goldens"
-         (Atomic.get mismatches));
+         ((conns * 200) - pipelined));
   Printf.printf "stress ok: %d pipelined responses byte-identical\n%!"
-    (conns * 200);
+    pipelined;
   let stats =
     match J.parse (J.obj (S.stats_payload server)) with
     | Ok v -> v
@@ -128,7 +153,7 @@ let () =
   let shutdown_line =
     J.obj [ ("proto", J.str P.version); ("kind", J.str "shutdown") ]
   in
-  ignore (L.Client.rpc clients.(0) shutdown_line);
+  ignore (Lines.rpc clients.(0) shutdown_line);
   Array.iter Thread.join readers;
   Array.iter
     (fun (_, cfd) -> try Unix.close cfd with Unix.Unix_error _ -> ())

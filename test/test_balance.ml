@@ -10,7 +10,7 @@ open Crs_core
 module Balancer = Crs_serve.Balancer
 module Canon = Crs_serve.Canon
 module Protocol = Crs_serve.Protocol
-module Loadgen = Crs_serve.Loadgen
+module Lines = Crs_serve.Frontend.Lines
 module J = Crs_util.Stable_json
 
 let exe = Filename.concat ".." (Filename.concat "bin" "crsched.exe")
@@ -196,7 +196,7 @@ let with_tier cfg f =
   | Ok t -> Fun.protect ~finally:(fun () -> Balancer.drain t) (fun () -> f t)
 
 type conn = {
-  client : Loadgen.Client.t;
+  client : Lines.t;
   client_fd : Unix.file_descr;
   reader : Thread.t option;
 }
@@ -208,7 +208,7 @@ let open_conn t =
      for the balancer's reader (attach covers the balancer side). *)
   Unix.set_close_on_exec client_fd;
   let reader = Balancer.attach t balancer_fd in
-  { client = Loadgen.Client.of_fd client_fd; client_fd; reader }
+  { client = Lines.of_fd client_fd; client_fd; reader }
 
 let close_conn c =
   (try Unix.close c.client_fd with Unix.Unix_error _ -> ());
@@ -263,7 +263,7 @@ let test_tier_byte_identity () =
         ~finally:(fun () -> close_conn c)
         (fun () ->
           let hello =
-            Loadgen.Client.rpc c.client
+            Lines.rpc c.client
               (J.obj
                  [ ("proto", J.str Protocol.version); ("kind", J.str "hello") ])
           in
@@ -276,7 +276,7 @@ let test_tier_byte_identity () =
               Instance.sub_processors i (List.init m (fun k -> m - 1 - k))
             in
             let padded = Crs_fuzz.Oracle.zero_pad_instance i in
-            let r = Loadgen.Client.rpc c.client (solve_line i) in
+            let r = Lines.rpc c.client (solve_line i) in
             Alcotest.(check string)
               (Printf.sprintf "seed %d: solve ok" seed)
               "ok" (response_status r);
@@ -286,16 +286,21 @@ let test_tier_byte_identity () =
             Alcotest.(check string)
               (Printf.sprintf "seed %d: permuted byte-identical" seed)
               r
-              (Loadgen.Client.rpc c.client (solve_line permuted));
+              (Lines.rpc c.client (solve_line permuted));
             Alcotest.(check string)
               (Printf.sprintf "seed %d: padded byte-identical" seed)
               r
-              (Loadgen.Client.rpc c.client (solve_line padded))
+              (Lines.rpc c.client (solve_line padded))
           done;
           check_accounting t;
           Alcotest.(check int) "nothing refused on a healthy tier" 0
             (balancer_stat t [ "balancer"; "refused" ])))
 
+(* Kill -9 a shard while a client thread is mid-stream over 200
+   requests spread across both shards. Each of the 200 answers must be
+   ok (byte-identical to its golden) or a structured overloaded
+   refusal, the tier must come back, and the balancer's refusal count
+   must equal exactly the refusals this client saw. *)
 let test_tier_kill_and_restart () =
   let cfg = tier_config ~socket_dir:(temp_dir ()) ~shards:2 () in
   with_tier cfg (fun t ->
@@ -303,30 +308,67 @@ let test_tier_kill_and_restart () =
       Fun.protect
         ~finally:(fun () -> close_conn c)
         (fun () ->
-          let i = random_instance 3 in
-          let line = solve_line i in
-          let golden = Loadgen.Client.rpc c.client line in
-          Alcotest.(check string) "baseline solve ok" "ok"
-            (response_status golden);
-          (* Kill -9 exactly the shard this instance routes to. *)
-          let shard = Balancer.route ~shards:2 (Canon.key i) in
-          let pid = (Balancer.shard_pids t).(shard) in
-          Alcotest.(check bool) "routed shard is running" true (pid > 0);
+          let instances = Array.init 8 (fun i -> random_instance (50 + i)) in
+          let shard_of i = Balancer.route ~shards:2 (Canon.key i) in
+          Alcotest.(check bool) "the stream reaches both shards" true
+            (Array.exists (fun i -> shard_of i = 0) instances
+            && Array.exists (fun i -> shard_of i = 1) instances);
+          let goldens =
+            Array.map (fun i -> Lines.rpc c.client (solve_line i)) instances
+          in
+          Array.iter
+            (fun r ->
+              Alcotest.(check string) "baseline solve ok" "ok"
+                (response_status r))
+            goldens;
+          let victim = shard_of instances.(0) in
+          let pid = (Balancer.shard_pids t).(victim) in
+          Alcotest.(check bool) "victim shard is running" true (pid > 0);
+          let total = 200 in
+          let answers = Array.make total "" in
+          let sent = Atomic.make 0 in
+          let streamer =
+            Thread.create
+              (fun () ->
+                for k = 0 to total - 1 do
+                  (* Never raise: the main thread waits on [sent]. *)
+                  answers.(k) <-
+                    (try Lines.rpc c.client (solve_line instances.(k mod 8))
+                     with e -> Printexc.to_string e);
+                  Atomic.incr sent
+                done)
+              ()
+          in
+          while Atomic.get sent < 20 do
+            Thread.delay 0.001
+          done;
           Unix.kill pid Sys.sigkill;
-          (* Drive requests through the outage. Every one must get a
-             response — ok once the shard is back, or a structured
-             overloaded refusal while it is down — and the tier must
-             recover. *)
-          let recovered = ref false in
+          let at_kill = Atomic.get sent in
+          Thread.join streamer;
+          Alcotest.(check bool)
+            (Printf.sprintf "kill landed mid-stream (after %d of %d)" at_kill
+               total)
+            true (at_kill < total);
           let refusals = ref 0 in
+          Array.iteri
+            (fun k r ->
+              match response_status r with
+              | "ok" ->
+                Alcotest.(check string) "stream answer byte-identical"
+                  goldens.(k mod 8) r
+              | "overloaded" -> incr refusals
+              | s -> Alcotest.failf "unexpected status during outage: %s" s)
+            answers;
+          (* Drive the victim's key until the monitor has it back. *)
+          let recovered = ref false in
           let attempts = ref 0 in
           while (not !recovered) && !attempts < 400 do
             incr attempts;
-            let r = Loadgen.Client.rpc c.client line in
+            let r = Lines.rpc c.client (solve_line instances.(0)) in
             (match response_status r with
             | "ok" ->
               Alcotest.(check string) "post-restart answer byte-identical"
-                golden r;
+                goldens.(0) r;
               recovered := true
             | "overloaded" -> incr refusals
             | s -> Alcotest.failf "unexpected status during outage: %s" s);
@@ -378,7 +420,7 @@ let test_tier_warm_replay () =
           ~finally:(fun () -> close_conn c)
           (fun () ->
             List.map
-              (fun i -> Loadgen.Client.rpc c.client (solve_line i))
+              (fun i -> Lines.rpc c.client (solve_line i))
               instances))
   in
   List.iter
@@ -408,7 +450,7 @@ let test_tier_warm_replay () =
             (fun i cold_r ->
               Alcotest.(check string) "warm answer byte-identical to cold"
                 cold_r
-                (Loadgen.Client.rpc c.client (solve_line i)))
+                (Lines.rpc c.client (solve_line i)))
             instances cold);
       Alcotest.(check int) "warm corpus is all cache hits"
         (hits_before + List.length instances)

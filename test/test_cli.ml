@@ -321,6 +321,37 @@ let test_operations_flag_tables () =
         help)
     [ ("serve", serve); ("balance", help_defaults "balance") ]
 
+(* BENCH_history.jsonl, appended by tools/bench_history.py: every line
+   parses and carries the full key set, and [seq] runs 1, 2, 3... so a
+   deleted or reordered line fails. *)
+let test_bench_history () =
+  let module J = Crs_util.Stable_json in
+  let lines =
+    In_channel.with_open_text
+      (Filename.concat ".." "BENCH_history.jsonl")
+      In_channel.input_lines
+  in
+  Alcotest.(check bool) "history is not empty" true (lines <> []);
+  List.iteri
+    (fun i line ->
+      match J.parse line with
+      | Error msg -> Alcotest.failf "line %d unparseable: %s" (i + 1) msg
+      | Ok json ->
+        List.iter
+          (fun k ->
+            if J.member k json = None then
+              Alcotest.failf "line %d lacks %s" (i + 1) k)
+          [
+            "commit"; "workload"; "seed"; "seconds"; "correct"; "attempted";
+            "failed"; "setup_s"; "throughput_rps"; "latency_p50_ms";
+            "latency_p99_ms"; "rss_peak_mb"; "host.probe_ms"; "host.steal_pct";
+          ];
+        Alcotest.(check bool)
+          (Printf.sprintf "line %d has seq %d" (i + 1) (i + 1))
+          true
+          (J.member "seq" json = Some (J.Int (i + 1))))
+    lines
+
 let suite =
   [
     Alcotest.test_case "gen | solve" `Quick test_gen_and_solve;
@@ -341,4 +372,6 @@ let suite =
     Alcotest.test_case "serve --stdio session" `Quick test_serve_stdio;
     Alcotest.test_case "OPERATIONS.md flag tables match --help" `Quick
       test_operations_flag_tables;
+    Alcotest.test_case "BENCH_history.jsonl: complete lines, seq from 1"
+      `Quick test_bench_history;
   ]

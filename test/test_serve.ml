@@ -7,7 +7,7 @@ open Crs_core
 module Canon = Crs_serve.Canon
 module Protocol = Crs_serve.Protocol
 module Server = Crs_serve.Server
-module Loadgen = Crs_serve.Loadgen
+module Lines = Crs_serve.Frontend.Lines
 module J = Crs_util.Stable_json
 module R = Crs_algorithms.Registry
 
@@ -359,8 +359,8 @@ let test_daemon_socketpair_smoke () =
         Server.serve_io server ~input:server_fd ~output:server_fd;
         Server.drain server)
   in
-  let client = Loadgen.Client.of_fd client_fd in
-  let rpc = Loadgen.Client.rpc client in
+  let client = Lines.of_fd client_fd in
+  let rpc = Lines.rpc client in
   (* hello: the handshake names the protocol and the algorithms. *)
   let hello = rpc (J.obj [ ("proto", J.str Protocol.version); ("kind", J.str "hello") ]) in
   Alcotest.(check string) "hello ok" "ok" (response_status hello);
@@ -415,10 +415,10 @@ let test_daemon_socketpair_smoke () =
       (List.init 12 (fun i -> solve_line (random_instance (30 + i))))
     ^ "\n"
   in
-  Loadgen.Client.send_line client (String.sub burst 0 (String.length burst - 1));
+  Lines.send_line client (String.sub burst 0 (String.length burst - 1));
   let burst_statuses =
     List.init 12 (fun _ ->
-        match Loadgen.Client.recv_line client with
+        match Lines.recv_line client with
         | Some l -> response_status l
         | None -> Alcotest.fail "daemon closed during burst")
   in
@@ -438,7 +438,7 @@ let test_daemon_socketpair_smoke () =
 (* Tests drive the concurrent frontend through an attach function
    (Server.attach, or Balancer.attach in test_balance): one socketpair
    per connection, the server end registered exactly as the accept loop
-   would, the client end wrapped in a Loadgen.Client. *)
+   would, the client end wrapped in a Frontend.Lines. *)
 
 (* Queue sized so the concurrent batteries never trip admission —
    overload shedding has its own dedicated test above. *)
@@ -454,7 +454,7 @@ let conn_config =
   }
 
 type conn = {
-  client : Loadgen.Client.t;
+  client : Lines.t;
   client_fd : Unix.file_descr;
   reader : Thread.t option;
 }
@@ -466,7 +466,7 @@ let open_conn attach =
     Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0
   in
   let reader = attach server_fd in
-  { client = Loadgen.Client.of_fd client_fd; client_fd; reader }
+  { client = Lines.of_fd client_fd; client_fd; reader }
 
 let close_conn c =
   (try Unix.close c.client_fd with Unix.Unix_error _ -> ());
@@ -544,7 +544,7 @@ let test_concurrent_connections_deterministic () =
                     in
                     raw_send conn.client_fd lines;
                     for j = 0 to per - 1 do
-                      match Loadgen.Client.recv_line conn.client with
+                      match Lines.recv_line conn.client with
                       | Some r -> responses.(c).(j) <- r
                       | None -> responses.(c).(j) <- "<eof>"
                     done)
@@ -582,12 +582,20 @@ let test_concurrent_connections_deterministic () =
             (stats_field server [ "cache"; "hits" ]);
           Alcotest.(check int) "accepted counts the readers" conns
             (stats_field server [ "connections"; "accepted" ]);
+          Alcotest.(check int) "no connection refused below max-conns" 0
+            (stats_field server [ "connections"; "refused" ]);
+          (* The latency histogram saw every solve: the 3 prewarm
+             misses plus each concurrent hit. *)
+          Alcotest.(check int) "solve latency count = prewarm + concurrent"
+            (3 + (conns * solves_per_conn))
+            (stats_field server [ "latency"; "solve"; "count" ]);
           Array.iter close_conn connections;
           Alcotest.(check int) "all readers closed" 0
             (stats_field server [ "connections"; "live" ])))
 
 (* Satellite: per-kind latency histograms — counts must match the
-   request mix exactly, and the quantile edges must be ordered. *)
+   request mix exactly, the quantile edges must be ordered, and every
+   exercised kind's p99 edge stays within 2^18 us (~262 ms). *)
 let test_latency_histogram_per_kind () =
   with_server conn_config (fun server ->
       let hello =
@@ -617,7 +625,14 @@ let test_latency_histogram_per_kind () =
       Alcotest.(check bool)
         (Printf.sprintf "p99 edge %d bounds max %d" p99 mx)
         true
-        (mx <= p99 || p99 = 0))
+        (mx <= p99 || p99 = 0);
+      List.iter
+        (fun kind ->
+          let p99 = stats_field server [ "latency"; kind; "p99_us" ] in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s p99 edge %d us <= 262144 us" kind p99)
+            true (p99 <= 262144))
+        [ "solve"; "stats"; "control" ])
 
 (* Satellite: adversarial-client battery. Each hostile connection dies
    alone — with a structured answer — while a well-behaved sibling on
@@ -630,10 +645,10 @@ let test_adversarial_slow_loris () =
       let sibling = open_conn (Server.attach server) in
       (* Half a frame, then silence. *)
       raw_send victim.client_fd {|{"proto":"crs-serve|};
-      let r = Loadgen.Client.rpc sibling.client (solve_line (random_instance 7)) in
+      let r = Lines.rpc sibling.client (solve_line (random_instance 7)) in
       Alcotest.(check string) "sibling solves while loris hangs" "ok"
         (response_status r);
-      (match Loadgen.Client.recv_line victim.client with
+      (match Lines.recv_line victim.client with
       | Some r ->
         Alcotest.(check string) "structured eviction" "evicted"
           (response_status r);
@@ -643,8 +658,8 @@ let test_adversarial_slow_loris () =
           (Helpers.contains ~needle:{|"req":"connection"|} r)
       | None -> Alcotest.fail "loris got no eviction response");
       Alcotest.(check (option string)) "loris connection closed" None
-        (Loadgen.Client.recv_line victim.client);
-      let r = Loadgen.Client.rpc sibling.client (solve_line (random_instance 8)) in
+        (Lines.recv_line victim.client);
+      let r = Lines.rpc sibling.client (solve_line (random_instance 8)) in
       Alcotest.(check string) "sibling survives the eviction" "ok"
         (response_status r);
       Alcotest.(check int) "evicted counted" 1
@@ -671,7 +686,7 @@ let test_adversarial_battery with_front () =
       let sibling = open_conn front.attach in
       let solve_ok msg =
         let r =
-          Loadgen.Client.rpc sibling.client (solve_line (random_instance 9))
+          Lines.rpc sibling.client (solve_line (random_instance 9))
         in
         Alcotest.(check string) msg "ok" (response_status r)
       in
@@ -680,20 +695,20 @@ let test_adversarial_battery with_front () =
       let c = open_conn front.attach in
       raw_send c.client_fd {|{"proto":"crs-serve/1","kind":|};
       Unix.shutdown c.client_fd Unix.SHUTDOWN_SEND;
-      (match Loadgen.Client.recv_line c.client with
+      (match Lines.recv_line c.client with
       | Some r ->
         Alcotest.(check string) "mid-line EOF answered as error" "error"
           (response_status r)
       | None -> Alcotest.fail "mid-line EOF dropped the request");
       Alcotest.(check (option string)) "then EOF" None
-        (Loadgen.Client.recv_line c.client);
+        (Lines.recv_line c.client);
       solve_ok "sibling unharmed by mid-line EOF";
       close_conn c;
       (* Oversized frame: structured error naming the limit, then the
          poisoned connection is closed — alone — and counted evicted. *)
       let c = open_conn front.attach in
       raw_send c.client_fd (String.make 300 'x' ^ "\n");
-      (match Loadgen.Client.recv_line c.client with
+      (match Lines.recv_line c.client with
       | Some r ->
         Alcotest.(check string) "oversized answered as error" "error"
           (response_status r);
@@ -701,7 +716,7 @@ let test_adversarial_battery with_front () =
           (Helpers.contains ~needle:"256" r)
       | None -> Alcotest.fail "oversized frame dropped");
       Alcotest.(check (option string)) "poisoned connection closed" None
-        (Loadgen.Client.recv_line c.client);
+        (Lines.recv_line c.client);
       close_conn c;
       Alcotest.(check int) "oversized frame counted as an eviction" 1
         (front.connections "evicted");
@@ -710,14 +725,14 @@ let test_adversarial_battery with_front () =
          same connection keeps serving. *)
       let c = open_conn front.attach in
       raw_send c.client_fd "!!not json!!\n";
-      (match Loadgen.Client.recv_line c.client with
+      (match Lines.recv_line c.client with
       | Some r ->
         Alcotest.(check string) "garbage answered as error" "error"
           (response_status r);
         Alcotest.(check bool) "carries a byte offset" true
           (Helpers.contains ~needle:"offset" r)
       | None -> Alcotest.fail "garbage frame dropped");
-      let r = Loadgen.Client.rpc c.client (solve_line (random_instance 10)) in
+      let r = Lines.rpc c.client (solve_line (random_instance 10)) in
       Alcotest.(check string) "garbage connection still serves" "ok"
         (response_status r);
       solve_ok "sibling unharmed by garbage";
@@ -732,7 +747,7 @@ let test_connection_refusal_beyond_max_conns with_front () =
       Alcotest.(check bool) "first two admitted" true
         (a.reader <> None && b.reader <> None);
       Alcotest.(check bool) "third refused" true (c.reader = None);
-      (match Loadgen.Client.recv_line c.client with
+      (match Lines.recv_line c.client with
       | Some r ->
         Alcotest.(check string) "structured overloaded refusal" "overloaded"
           (response_status r);
@@ -740,10 +755,10 @@ let test_connection_refusal_beyond_max_conns with_front () =
           (Helpers.contains ~needle:{|"req":"connection"|} r)
       | None -> Alcotest.fail "refused connection got no response");
       Alcotest.(check (option string)) "refused connection closed" None
-        (Loadgen.Client.recv_line c.client);
+        (Lines.recv_line c.client);
       Alcotest.(check int) "refused counted" 1 (front.connections "refused");
       (* The admitted connections still serve. *)
-      let r = Loadgen.Client.rpc a.client (solve_line (random_instance 11)) in
+      let r = Lines.rpc a.client (solve_line (random_instance 11)) in
       Alcotest.(check string) "admitted conn solves" "ok" (response_status r);
       close_conn a;
       close_conn b;
@@ -775,7 +790,7 @@ let test_graceful_drain_under_load with_front () =
            ]
         ^ "\n");
       let read_a () =
-        match Loadgen.Client.recv_line a.client with
+        match Lines.recv_line a.client with
         | Some r -> r
         | None -> Alcotest.fail "connection A closed early"
       in
@@ -787,9 +802,9 @@ let test_graceful_drain_under_load with_front () =
       Alcotest.(check string) "shutdown acknowledged" "ok" (response_status r3);
       Alcotest.(check bool) "stopping" true (front.stopping ());
       (* Late request during the drain window: refused, structurally. *)
-      Loadgen.Client.send_line b.client
+      Lines.send_line b.client
         (solve_line ~extra:[ ("id", J.int 4) ] (random_instance 23));
-      (match Loadgen.Client.recv_line b.client with
+      (match Lines.recv_line b.client with
       | Some r ->
         Alcotest.(check string) "late request refused" "draining"
           (response_status r);
@@ -798,9 +813,9 @@ let test_graceful_drain_under_load with_front () =
       | None -> Alcotest.fail "late request got no refusal");
       (* Both connections quiesce to EOF once the grace window ends. *)
       Alcotest.(check (option string)) "A drained to EOF" None
-        (Loadgen.Client.recv_line a.client);
+        (Lines.recv_line a.client);
       Alcotest.(check (option string)) "B drained to EOF" None
-        (Loadgen.Client.recv_line b.client);
+        (Lines.recv_line b.client);
       close_conn a;
       close_conn b;
       Alcotest.(check int) "both connections counted drained" 2
@@ -826,34 +841,6 @@ let with_server_front ~max_conns ~max_line_bytes f =
           connections = (fun k -> stats_field server [ "connections"; k ]);
           stopping = (fun () -> Server.stopping server);
         })
-
-(* Satellite: loadgen multi-connection mode (deterministic smoke; the
-   full-scale version runs under `dune build @stress`). *)
-let test_loadgen_multi_conn () =
-  with_server conn_config (fun server ->
-      let conns = Array.init 2 (fun _ -> open_conn (Server.attach server)) in
-      let clients = Array.map (fun c -> c.client) conns in
-      let requests =
-        List.init 12 (fun i -> solve_line (random_instance (60 + (i mod 4))))
-      in
-      let closed =
-        Loadgen.run_multi ~seed:7 clients ~arrival:Loadgen.Closed_loop ~requests
-      in
-      Alcotest.(check int) "closed-loop: all sent" 12 closed.Loadgen.sent;
-      Alcotest.(check int) "closed-loop: all received" 12
-        closed.Loadgen.received;
-      Alcotest.(check int) "every latency sample kept" 12
-        (Array.length closed.Loadgen.latencies_ms);
-      let open_loop =
-        Loadgen.run_multi ~seed:8 clients
-          ~arrival:(Loadgen.Poisson { rate = 500.0 })
-          ~requests:(List.init 8 (fun i -> solve_line (random_instance (70 + i))))
-      in
-      Alcotest.(check int) "open-loop: all received" 8
-        open_loop.Loadgen.received;
-      Alcotest.(check int) "solve latency histogram saw the load" 20
-        (stats_field server [ "latency"; "solve"; "count" ]);
-      Array.iter close_conn conns)
 
 (* Satellite: the listen backlog is a config field (surfaced as
    --backlog) and actually reaches listen(2) at both bind sites. *)
@@ -1071,8 +1058,6 @@ let suite =
   ]
   @ connection_battery with_server_front
   @ [
-      Alcotest.test_case "loadgen: multi-connection smoke" `Quick
-        test_loadgen_multi_conn;
       Alcotest.test_case "config: backlog reaches listen(2)" `Quick
         test_backlog_config;
       Alcotest.test_case "address: parse and reject" `Quick test_parse_address;
