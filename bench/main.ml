@@ -815,14 +815,15 @@ let exp_campaign () =
     String.equal sig_1 (signature_at 2) && String.equal sig_1 (signature_at domains)
   in
   let summary = C.Report.summarize (run_seq ()) in
-  (* On a box with fewer cores than domains the parallel run just
-     time-slices one core; the ratio measures executor overhead, not
-     scaling, and must not be read as a speedup claim. Both the detected
-     core count and the domain count actually used are recorded so the
-     flag is auditable. *)
+  (* On a box with fewer cores than domains the parallel runs share
+     the cores; the ratio measures executor overhead, not scaling, and
+     must not be read as a speedup claim. Such a gate is not judged: it
+     records gate_met false beside speedup_meaningful false, never a
+     pass. Both the detected core count and the domain count actually
+     used are recorded so the flag is auditable. *)
   let speedup_meaningful = hardware_cores >= domains in
   let speedup_gate = 1.8 in
-  let gate_met = (not speedup_meaningful) || speedup >= speedup_gate in
+  let gate_met = speedup_meaningful && speedup >= speedup_gate in
   Printf.printf
     "speedup %.2fx median of %d paired reps on %d domains (%d hardware core%s \
      detected)%s\n"
@@ -832,8 +833,8 @@ let exp_campaign () =
        Printf.sprintf " — gate >= %.1fx: %s" speedup_gate
          (if gate_met then "met" else "NOT MET")
      else
-       " — NOT meaningful: fewer cores than domains, ratio reflects \
-        executor overhead only");
+       " — not judged: fewer cores than domains, ratio reflects executor \
+        overhead only");
   Printf.printf "executor: %d pushes, %d steals, %d parks on the counted run\n"
     exec_pushes exec_steals exec_parks;
   Printf.printf "trace signature identical at domains {1,2,%d}: %b\n" domains
@@ -862,7 +863,7 @@ let exp_campaign () =
   Printf.printf "wrote BENCH_campaign.json\n";
   assert !payloads_identical;
   assert trace_signature_identical;
-  assert gate_met
+  assert ((not speedup_meaningful) || gate_met)
 
 (* ---------- registry: dispatch overhead ---------- *)
 
@@ -1358,6 +1359,38 @@ let exp_dp ?(mode = `Run) () =
     s_new.counters.Crs_algorithms.Opt_two.relaxations
     c_new.stats.Crs_algorithms.Opt_config.generated
     (List.length c_new.stats.Crs_algorithms.Opt_config.layers);
+  (* Allocation beside time: Opt_config minor words per solve, on the
+     Figure-3 instance and averaged over seeds 1-50 of perfbench's
+     campaign-sweep family (uniform, m = 3, n = 6, granularity 10).
+     Tracing and metrics are off here, so the counts repeat exactly. *)
+  let sweep_seeds = match mode with `Run -> 50 | `Smoke -> 5 in
+  let sweep =
+    List.init sweep_seeds (fun k ->
+        Crs_campaign.Spec.instance
+          { Crs_campaign.Spec.default with m = 3; n = 6; granularity = 10 }
+          ~seed:(k + 1))
+  in
+  let words_per_solve solve instances =
+    let total = ref 0.0 in
+    List.iter
+      (fun i ->
+        let w0 = Gc.minor_words () in
+        ignore (Sys.opaque_identity (solve i));
+        total := !total +. (Gc.minor_words () -. w0))
+      instances;
+    !total /. float_of_int (List.length instances)
+  in
+  let flat_solve i = Crs_algorithms.Opt_config.solve i
+  and legacy_solve i = LC.solve i in
+  let fig3_words_flat = words_per_solve flat_solve [ fig3_cfg ]
+  and fig3_words_legacy = words_per_solve legacy_solve [ fig3_cfg ]
+  and sweep_words_flat = words_per_solve flat_solve sweep
+  and sweep_words_legacy = words_per_solve legacy_solve sweep in
+  Printf.printf
+    "opt_config minor words per solve: fig3 n=%d flat %.0f legacy %.0f; \
+     uniform m=3 n=6 seeds 1-%d flat %.0f legacy %.0f\n"
+    cfg_n fig3_words_flat fig3_words_legacy sweep_seeds sweep_words_flat
+    sweep_words_legacy;
   (* Paired-reps methodology (same as BENCH_campaign/BENCH_obs): every
      timed region starts from a settled GC, each rep times flat and
      legacy back-to-back with the order alternating, and the gate uses
@@ -1430,12 +1463,18 @@ let exp_dp ?(mode = `Run) () =
          \"opt_two_speedup\":%.4f,\"opt_config_n\":%d,\"opt_config_iters\":%d,\
          \"opt_config_flat_s\":%.6f,\"opt_config_legacy_s\":%.6f,\
          \"opt_config_speedup\":%.4f,\"reps\":%d,\"cells_expanded\":%d,\
-         \"relaxations\":%d,\"generated\":%d,\"parity\":true,\"gate\":%.1f,\
+         \"relaxations\":%d,\"generated\":%d,\
+         \"opt_config_fig3_words_flat\":%.0f,\
+         \"opt_config_fig3_words_legacy\":%.0f,\"opt_config_sweep_seeds\":%d,\
+         \"opt_config_sweep_words_flat\":%.0f,\
+         \"opt_config_sweep_words_legacy\":%.0f,\"parity\":true,\"gate\":%.1f,\
          \"gate_met\":%b}\n"
         two_n two_flat two_legacy two_speedup cfg_n cfg_iters cfg_flat cfg_legacy
         cfg_speedup reps s_new.counters.Crs_algorithms.Opt_two.cells_expanded
         s_new.counters.Crs_algorithms.Opt_two.relaxations
-        c_new.stats.Crs_algorithms.Opt_config.generated gate gate_met
+        c_new.stats.Crs_algorithms.Opt_config.generated fig3_words_flat
+        fig3_words_legacy sweep_seeds sweep_words_flat sweep_words_legacy gate
+        gate_met
     in
     Out_channel.with_open_text "BENCH_dp.json" (fun oc ->
         Out_channel.output_string oc json);

@@ -59,21 +59,31 @@ module Key = struct
   type t = { ints : int array; bigs : Q.t array }
 
   (* Keys within one solve always have equal lengths; compare contents
-     directly, ints first (they discriminate almost always). *)
+     directly, ints first (they discriminate almost always). Both run
+     on every table probe, so they loop over local counters (see the
+     hot-path rule in [solve]). *)
   let equal a b =
-    let n = Array.length a.ints in
-    n = Array.length b.ints
-    && (let rec go i = i >= n || (a.ints.(i) = b.ints.(i) && go (i + 1)) in
-        go 0)
+    let ai = a.ints and bi = b.ints in
+    let n = Array.length ai in
+    n = Array.length bi
+    && (let i = ref 0 in
+        while !i < n && ai.(!i) = bi.(!i) do incr i done;
+        !i >= n)
     && Array.length a.bigs = Array.length b.bigs
-    && (let nb = Array.length a.bigs in
-        let rec go i = i >= nb || (Q.equal a.bigs.(i) b.bigs.(i)) && go (i + 1) in
-        go 0)
+    && (let ab = a.bigs and bb = b.bigs in
+        let nb = Array.length ab in
+        let i = ref 0 in
+        while !i < nb && Q.equal ab.(!i) bb.(!i) do incr i done;
+        !i >= nb)
 
   let hash { ints; bigs } =
     let h = ref 0x811c9dc5 in
-    Array.iter (fun v -> h := (!h lxor v) * 0x01000193 land max_int) ints;
-    Array.iter (fun q -> h := (!h lxor Q.hash q) * 0x01000193 land max_int) bigs;
+    for i = 0 to Array.length ints - 1 do
+      h := (!h lxor ints.(i)) * 0x01000193 land max_int
+    done;
+    for i = 0 to Array.length bigs - 1 do
+      h := (!h lxor Q.hash bigs.(i)) * 0x01000193 land max_int
+    done;
     !h
 end
 
@@ -184,8 +194,10 @@ let solve ?(prune = true) instance =
     }
   in
   let is_final node =
-    let rec go i = i >= m || (node.key.Key.ints.(jdx i) >= n_i.(i) && go (i + 1)) in
-    go 0
+    let ints = node.key.Key.ints in
+    let i = ref 0 in
+    while !i < m && ints.(jdx !i) >= n_i.(!i) do incr i done;
+    !i >= m
   in
   if is_final start then
     { makespan = 0; schedule = Schedule.empty ~m;
@@ -201,6 +213,13 @@ let solve ?(prune = true) instance =
         Some (Crs_obs.Metrics.histogram "opt_config.layer_size")
       else None
     in
+    (* Hot-path rule: the helpers below are defined once per solve and
+       take what varies (node, processor) as arguments, and comparisons
+       loop over local counters. Without flambda a local closure is an
+       allocation per call, and comparisons, probes and finish-set masks
+       far outnumber the successors a solve keeps; so the search
+       allocates only what it keeps, a key copy and a node per new
+       successor. *)
     (* Remainder order for processor [i], preferring the unboxed parts
        (equal denominators — always the case in common-denominator
        mode — compare by numerator, forming no products). *)
@@ -214,28 +233,32 @@ let solve ?(prune = true) instance =
        remainder. Sorting by it lexicographically puts every possible
        dominator of a candidate before the candidate. *)
     let node_cmp a b =
-      let rec go i =
-        if i >= m then 0
-        else begin
-          let ja = a.key.Key.ints.(jdx i) and jb = b.key.Key.ints.(jdx i) in
-          if ja <> jb then Stdlib.compare (jb : int) ja
-          else
-            let c = rem_cmp a b i in
-            if c <> 0 then c else go (i + 1)
-        end
-      in
-      go 0
+      let ai = a.key.Key.ints and bi = b.key.Key.ints in
+      let c = ref 0 and i = ref 0 in
+      while !c = 0 && !i < m do
+        let ja = ai.(jdx !i) and jb = bi.(jdx !i) in
+        c := if ja <> jb then Stdlib.compare (jb : int) ja else rem_cmp a b !i;
+        incr i
+      done;
+      !c
     in
     (* Domination (Lemma 4): per processor, strictly more jobs done or
        the same job with no more remaining work. *)
     let dominates a b =
-      let rec go i =
-        i >= m
-        || (let ja = a.key.Key.ints.(jdx i) and jb = b.key.Key.ints.(jdx i) in
-            (ja > jb || (ja = jb && rem_cmp a b i <= 0))
-            && go (i + 1))
-      in
-      go 0
+      let ai = a.key.Key.ints and bi = b.key.Key.ints in
+      let ok = ref true and i = ref 0 in
+      while !ok && !i < m do
+        let ja = ai.(jdx !i) and jb = bi.(jdx !i) in
+        ok := ja > jb || (ja = jb && rem_cmp a b !i <= 0);
+        incr i
+      done;
+      !ok
+    in
+    (* Does some member of [frontier] dominate [cand]? Scans from the
+       head, like [List.exists]. *)
+    let rec dominated cand = function
+      | [] -> false
+      | s :: rest -> dominates s cand || dominated cand rest
     in
     let pareto_sweep candidates =
       let arr = Array.of_list candidates in
@@ -246,11 +269,11 @@ let solve ?(prune = true) instance =
          the frontier is exactly the maximal set the pairwise filter
          kept. *)
       let rev_frontier = ref [] in
-      Array.iter
-        (fun cand ->
-          if not (List.exists (fun s -> dominates s cand) !rev_frontier) then
-            rev_frontier := cand :: !rev_frontier)
-        arr;
+      for c = 0 to Array.length arr - 1 do
+        let cand = arr.(c) in
+        if not (dominated cand !rev_frontier) then
+          rev_frontier := cand :: !rev_frontier
+      done;
       List.rev !rev_frontier
     in
     (* Scratch state for streaming successor enumeration: keys are
@@ -260,221 +283,231 @@ let solve ?(prune = true) instance =
     let actives = Array.make m 0 in
     let in_finished = Array.make m false in
     let cost = SR.out () and lo = SR.out () and vo = SR.out () in
+    (* General mode's leftover for the current finish set: [lo] holds
+       its small-tier parts, [lo_big] the value once it left the small
+       tier; [lo_box] caches its boxed form, built at most once per
+       mask (only for boxed fallbacks along partial successors). *)
+    let lo_big = ref None in
     let lo_box = ref Q.zero and lo_have = ref false in
+    let leftover_boxed () =
+      if not !lo_have then begin
+        (lo_box :=
+           match !lo_big with
+           | Some l -> l
+           | None -> SR.to_rational lo.p lo.q);
+        lo_have := true
+      end;
+      !lo_box
+    in
     (* One dedup table for the whole solve, cleared (capacity kept)
        between layers: fig3-like instances have hundreds of tiny
        layers, where a fresh bucket array per layer dominates. *)
     let next : node H.t = H.create 64 in
-    let expand_layer layer =
-      H.clear next;
-      let rev_order = ref [] in
-      let gen0 = !generated in
-      (* Probe the scratch key ([bigs] lists any big-tier entries, in
-         ascending processor order); on a miss, materialize and queue
-         the successor. *)
-      let commit nd bigs =
-        let probe =
-          if bigs = [] then sk
-          else { Key.ints = sk_ints; bigs = Array.of_list bigs }
-        in
-        if not (H.mem seen probe) && not (H.mem next probe) then begin
-          let key = { Key.ints = Array.copy sk_ints; bigs = probe.Key.bigs } in
-          let node = { key; parent = Some nd } in
-          H.add next key node;
-          rev_order := node :: !rev_order
-        end
+    let rev_order = ref [] in
+    (* Probe the scratch key ([bigs] lists any big-tier entries, in
+       ascending processor order); on a miss, materialize and queue
+       the successor of [nd]. *)
+    let commit nd bigs =
+      let probe =
+        if bigs = [] then sk
+        else { Key.ints = sk_ints; bigs = Array.of_list bigs }
       in
-      let expand nd =
-        let c_ints = nd.key.Key.ints in
-        let k = ref 0 in
-        for i = 0 to m - 1 do
-          if c_ints.(jdx i) < n_i.(i) then begin
-            actives.(!k) <- i;
-            incr k
-          end
-        done;
-        let k = !k in
-        for mask = 1 to (1 lsl k) - 1 do
-          if lden <> 0 then begin
-            (* Common-denominator fast path: every remainder is a
-               numerator over lden; the prefetch guard bounds sums, so
-               nothing below can overflow. Stores are raw (num, lden)
-               pairs — never reduced — keeping the encoding uniform
-               for dedup. *)
-            let cost_n = ref 0 in
-            for b = 0 to k - 1 do
-              if mask land (1 lsl b) <> 0 then begin
-                let i = actives.(b) in
-                in_finished.(i) <- true;
-                cost_n := !cost_n + c_ints.(pdx i)
-              end
-            done;
-            if !cost_n <= lden then begin
-              let lo_n = lden - !cost_n in
-              let emit partial pnum =
-                Crs_util.Fuel.tick ();
-                incr generated;
-                for i = m - 1 downto 0 do
-                  if in_finished.(i) then begin
-                    let j' = c_ints.(jdx i) + 1 in
-                    sk_ints.(jdx i) <- j';
-                    sk_ints.(pdx i) <- reqn.(i).(j');
-                    sk_ints.(qdx i) <- lden
-                  end
-                  else begin
-                    sk_ints.(jdx i) <- c_ints.(jdx i);
-                    sk_ints.(pdx i) <-
-                      (if i = partial then pnum else c_ints.(pdx i));
-                    sk_ints.(qdx i) <- c_ints.(qdx i)
-                  end
-                done;
-                commit nd []
-              in
-              let has_other = ref false in
-              for b = 0 to k - 1 do
-                if not in_finished.(actives.(b)) then has_other := true
-              done;
-              if (not !has_other) || lo_n = 0 then emit (-1) 0
-              else
-                for b = 0 to k - 1 do
-                  let p = actives.(b) in
-                  if (not in_finished.(p)) && c_ints.(pdx p) > lo_n then
-                    emit p (c_ints.(pdx p) - lo_n)
-                done
-            end;
-            for b = 0 to k - 1 do
-              if mask land (1 lsl b) <> 0 then in_finished.(actives.(b)) <- false
-            done
+      if not (H.mem seen probe) && not (H.mem next probe) then begin
+        let key = { Key.ints = Array.copy sk_ints; bigs = probe.Key.bigs } in
+        let node = { key; parent = Some nd } in
+        H.add next key node;
+        rev_order := node :: !rev_order
+      end
+    in
+    (* Emit one successor of [nd] for the finish set marked in
+       [in_finished], in common-denominator mode: [partial] < 0
+       finishes the set and wastes any leftover; otherwise processor
+       [partial] keeps the remainder numerator [pnum]. Stores are raw
+       (num, lden) pairs — never reduced — keeping the encoding uniform
+       for dedup. *)
+    let emit_cd nd partial pnum =
+      Crs_util.Fuel.tick ();
+      incr generated;
+      let c_ints = nd.key.Key.ints in
+      for i = m - 1 downto 0 do
+        if in_finished.(i) then begin
+          let j' = c_ints.(jdx i) + 1 in
+          sk_ints.(jdx i) <- j';
+          sk_ints.(pdx i) <- reqn.(i).(j');
+          sk_ints.(qdx i) <- lden
+        end
+        else begin
+          sk_ints.(jdx i) <- c_ints.(jdx i);
+          sk_ints.(pdx i) <- (if i = partial then pnum else c_ints.(pdx i));
+          sk_ints.(qdx i) <- c_ints.(qdx i)
+        end
+      done;
+      commit nd []
+    in
+    (* The same in general mode: [partial] < 0 finishes the set and
+       wastes any leftover; otherwise processor [partial] receives the
+       leftover. *)
+    let emit_general nd partial =
+      Crs_util.Fuel.tick ();
+      incr generated;
+      let c_ints = nd.key.Key.ints in
+      let bigs = ref [] in
+      for i = m - 1 downto 0 do
+        if in_finished.(i) then begin
+          let j' = c_ints.(jdx i) + 1 in
+          sk_ints.(jdx i) <- j';
+          let q = reqq.(i).(j') in
+          sk_ints.(pdx i) <- reqp.(i).(j');
+          sk_ints.(qdx i) <- q;
+          if q = 0 then bigs := req_boxed.(i).(j') :: !bigs
+        end
+        else if i = partial then begin
+          sk_ints.(jdx i) <- c_ints.(jdx i);
+          let p = c_ints.(pdx i) and q = c_ints.(qdx i) in
+          if
+            q <> 0
+            && (match !lo_big with
+               | None -> SR.sub vo p q lo.p lo.q
+               | Some _ -> false)
+          then begin
+            sk_ints.(pdx i) <- vo.p;
+            sk_ints.(qdx i) <- vo.q
           end
           else begin
-            (* General path: canonical small-tier pairs with boxed
-               fallbacks. Mark the finish set and accumulate its cost,
-               staying on int pairs until a value leaves the small
-               tier. *)
-            cost.p <- 0;
-            cost.q <- 1;
-            let cost_big = ref None in
-            for b = 0 to k - 1 do
-              if mask land (1 lsl b) <> 0 then begin
-                let i = actives.(b) in
-                in_finished.(i) <- true;
-                match !cost_big with
-                | Some cb -> cost_big := Some (Q.add cb (rem_of nd.key i))
-                | None ->
-                  let p = c_ints.(pdx i) and q = c_ints.(qdx i) in
-                  if not (q <> 0 && SR.add cost cost.p cost.q p q) then
-                    cost_big :=
-                      Some (Q.add (SR.to_rational cost.p cost.q) (rem_of nd.key i))
-              end
-            done;
-            let cost_le_one =
-              match !cost_big with
-              | None -> cost.p <= cost.q
-              | Some cb -> Q.(cb <= one)
-            in
-            if cost_le_one then begin
-              (* leftover = 1 - cost; its parts inherit the cost's gcd. *)
-              let lo_big =
-                match !cost_big with
-                | None ->
-                  ignore (SR.one_minus lo cost.p cost.q);
-                  None
-                | Some cb -> Some (Q.sub Q.one cb)
-              in
-              (* Boxed leftover, built at most once per mask (only for
-                 boxed fallbacks along partial successors). *)
-              lo_have := false;
-              let leftover_boxed () =
-                if not !lo_have then begin
-                  (lo_box :=
-                     match lo_big with
-                     | Some l -> l
-                     | None -> SR.to_rational lo.p lo.q);
-                  lo_have := true
-                end;
-                !lo_box
-              in
-              let leftover_zero =
-                match lo_big with None -> lo.p = 0 | Some l -> Q.is_zero l
-              in
-              (* Emit one successor: [partial] < 0 finishes the set and
-                 wastes any leftover; otherwise processor [partial]
-                 receives the leftover. *)
-              let emit partial =
-                Crs_util.Fuel.tick ();
-                incr generated;
-                let bigs = ref [] in
-                for i = m - 1 downto 0 do
-                  if in_finished.(i) then begin
-                    let j' = c_ints.(jdx i) + 1 in
-                    sk_ints.(jdx i) <- j';
-                    let q = reqq.(i).(j') in
-                    sk_ints.(pdx i) <- reqp.(i).(j');
-                    sk_ints.(qdx i) <- q;
-                    if q = 0 then bigs := req_boxed.(i).(j') :: !bigs
-                  end
-                  else if i = partial then begin
-                    sk_ints.(jdx i) <- c_ints.(jdx i);
-                    let p = c_ints.(pdx i) and q = c_ints.(qdx i) in
-                    if
-                      q <> 0
-                      && (match lo_big with
-                         | None -> SR.sub vo p q lo.p lo.q
-                         | Some _ -> false)
-                    then begin
-                      sk_ints.(pdx i) <- vo.p;
-                      sk_ints.(qdx i) <- vo.q
-                    end
-                    else begin
-                      let v' = Q.sub (rem_of nd.key i) (leftover_boxed ()) in
-                      if Q.is_small v' then begin
-                        sk_ints.(pdx i) <- Q.small_num v';
-                        sk_ints.(qdx i) <- Q.small_den v'
-                      end
-                      else begin
-                        sk_ints.(pdx i) <- 0;
-                        sk_ints.(qdx i) <- 0;
-                        bigs := v' :: !bigs
-                      end
-                    end
-                  end
-                  else begin
-                    sk_ints.(jdx i) <- c_ints.(jdx i);
-                    sk_ints.(pdx i) <- c_ints.(pdx i);
-                    sk_ints.(qdx i) <- c_ints.(qdx i)
-                  end
-                done;
-                commit nd !bigs
-              in
-              let has_other = ref false in
-              for b = 0 to k - 1 do
-                if not in_finished.(actives.(b)) then has_other := true
-              done;
-              if (not !has_other) || leftover_zero then emit (-1)
-              else
-                (* Non-wasting: the leftover must go to some still-active
-                   job it cannot finish; if it could finish one, the
-                   larger finish set covers that choice. *)
-                for b = 0 to k - 1 do
-                  let p = actives.(b) in
-                  if not in_finished.(p) then begin
-                    let vq = c_ints.(qdx p) in
-                    let v_gt_leftover =
-                      match lo_big with
-                      | None when vq <> 0 ->
-                        SR.compare c_ints.(pdx p) vq lo.p lo.q > 0
-                      | _ -> Q.(rem_of nd.key p > leftover_boxed ())
-                    in
-                    if v_gt_leftover then emit p
-                  end
-                done
-            end;
-            for b = 0 to k - 1 do
-              if mask land (1 lsl b) <> 0 then in_finished.(actives.(b)) <- false
-            done
+            let v' = Q.sub (rem_of nd.key i) (leftover_boxed ()) in
+            if Q.is_small v' then begin
+              sk_ints.(pdx i) <- Q.small_num v';
+              sk_ints.(qdx i) <- Q.small_den v'
+            end
+            else begin
+              sk_ints.(pdx i) <- 0;
+              sk_ints.(qdx i) <- 0;
+              bigs := v' :: !bigs
+            end
           end
-        done
-      in
+        end
+        else begin
+          sk_ints.(jdx i) <- c_ints.(jdx i);
+          sk_ints.(pdx i) <- c_ints.(pdx i);
+          let q = c_ints.(qdx i) in
+          sk_ints.(qdx i) <- q;
+          if q = 0 then bigs := rem_of nd.key i :: !bigs
+        end
+      done;
+      commit nd !bigs
+    in
+    let expand nd =
+      let c_ints = nd.key.Key.ints in
+      let k = ref 0 in
+      for i = 0 to m - 1 do
+        if c_ints.(jdx i) < n_i.(i) then begin
+          actives.(!k) <- i;
+          incr k
+        end
+      done;
+      let k = !k in
+      for mask = 1 to (1 lsl k) - 1 do
+        if lden <> 0 then begin
+          (* Common-denominator fast path: every remainder is a
+             numerator over lden; the prefetch guard bounds sums, so
+             nothing below can overflow. *)
+          let cost_n = ref 0 in
+          for b = 0 to k - 1 do
+            if mask land (1 lsl b) <> 0 then begin
+              let i = actives.(b) in
+              in_finished.(i) <- true;
+              cost_n := !cost_n + c_ints.(pdx i)
+            end
+          done;
+          if !cost_n <= lden then begin
+            let lo_n = lden - !cost_n in
+            let has_other = ref false in
+            for b = 0 to k - 1 do
+              if not in_finished.(actives.(b)) then has_other := true
+            done;
+            if (not !has_other) || lo_n = 0 then emit_cd nd (-1) 0
+            else
+              for b = 0 to k - 1 do
+                let p = actives.(b) in
+                if (not in_finished.(p)) && c_ints.(pdx p) > lo_n then
+                  emit_cd nd p (c_ints.(pdx p) - lo_n)
+              done
+          end;
+          for b = 0 to k - 1 do
+            if mask land (1 lsl b) <> 0 then in_finished.(actives.(b)) <- false
+          done
+        end
+        else begin
+          (* General path: canonical small-tier pairs with boxed
+             fallbacks. Mark the finish set and accumulate its cost,
+             staying on int pairs until a value leaves the small
+             tier. *)
+          cost.p <- 0;
+          cost.q <- 1;
+          let cost_big = ref None in
+          for b = 0 to k - 1 do
+            if mask land (1 lsl b) <> 0 then begin
+              let i = actives.(b) in
+              in_finished.(i) <- true;
+              match !cost_big with
+              | Some cb -> cost_big := Some (Q.add cb (rem_of nd.key i))
+              | None ->
+                let p = c_ints.(pdx i) and q = c_ints.(qdx i) in
+                if not (q <> 0 && SR.add cost cost.p cost.q p q) then
+                  cost_big :=
+                    Some (Q.add (SR.to_rational cost.p cost.q) (rem_of nd.key i))
+            end
+          done;
+          let cost_le_one =
+            match !cost_big with
+            | None -> cost.p <= cost.q
+            | Some cb -> Q.(cb <= one)
+          in
+          if cost_le_one then begin
+            (* leftover = 1 - cost; its parts inherit the cost's gcd. *)
+            (lo_big :=
+               match !cost_big with
+               | None ->
+                 ignore (SR.one_minus lo cost.p cost.q);
+                 None
+               | Some cb -> Some (Q.sub Q.one cb));
+            lo_have := false;
+            let leftover_zero =
+              match !lo_big with None -> lo.p = 0 | Some l -> Q.is_zero l
+            in
+            let has_other = ref false in
+            for b = 0 to k - 1 do
+              if not in_finished.(actives.(b)) then has_other := true
+            done;
+            if (not !has_other) || leftover_zero then emit_general nd (-1)
+            else
+              (* Non-wasting: the leftover must go to some still-active
+                 job it cannot finish; if it could finish one, the
+                 larger finish set covers that choice. *)
+              for b = 0 to k - 1 do
+                let p = actives.(b) in
+                if not in_finished.(p) then begin
+                  let vq = c_ints.(qdx p) in
+                  let v_gt_leftover =
+                    match !lo_big with
+                    | None when vq <> 0 ->
+                      SR.compare c_ints.(pdx p) vq lo.p lo.q > 0
+                    | _ -> Q.(rem_of nd.key p > leftover_boxed ())
+                  in
+                  if v_gt_leftover then emit_general nd p
+                end
+              done
+          end;
+          for b = 0 to k - 1 do
+            if mask land (1 lsl b) <> 0 then in_finished.(actives.(b)) <- false
+          done
+        end
+      done
+    in
+    let expand_layer layer =
+      H.clear next;
+      rev_order := [];
+      let gen0 = !generated in
       List.iter expand layer;
       let candidates = List.rev !rev_order in
       (* Mutual domination forces equality, and equal configs were

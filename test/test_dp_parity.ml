@@ -176,7 +176,19 @@ let test_tier_boundary_parity () =
     i [ [ frac 1 b; frac 2 b ]; [ frac 3 b; frac 1 b ] ]
   in
   parity_two "lcm-at-bound" at_bound;
-  parity_config "lcm-at-bound" at_bound
+  parity_config "lcm-at-bound" at_bound;
+  (* Three near-bound first jobs: remainders leave the small tier once
+     a step splits a leftover, and a processor that a step leaves
+     untouched must carry its big remainder into the successor's key. *)
+  let carried =
+    i
+      [
+        [ frac (b - 2) b; "1/3" ];
+        [ frac (b - 3) b; "2/3" ];
+        [ frac (b - 5) b; "1/7" ];
+      ]
+  in
+  parity_config "big-remainder-carried" carried
 
 (* The rewrite hoisted Opt_two's fuel tick past the reachability check:
    fuel is charged per REACHED cell, and the cells_expanded counter is
@@ -199,6 +211,68 @@ let test_fuel_price_is_reachable_cells () =
     | _ -> false
     | exception Crs_util.Fuel.Out_of_fuel -> true)
 
+(* Campaign instances at granularity 10, the grid `crsched campaign`
+   draws from by default. *)
+let campaign_instance family ~m ~n ~seed =
+  Crs_campaign.Spec.instance
+    { Crs_campaign.Spec.default with family; m; n; granularity = 10 }
+    ~seed
+
+(* The parity cases compare Opt_config with the frozen kernel only on
+   makespan, [generated] and layer sizes, because the flat kernel orders
+   its survivors its own way; nothing there would notice a changed
+   witness. This digest pins the witness schedule too, per instance,
+   over three families, three shapes and 40 seeds. It changes only when
+   the search order, the survivor order or the replay changes, and then
+   it must be re-derived on purpose. *)
+let witness_digest =
+  "f68b4a35cd214dbab5f4d5a1ffa2401a"
+
+let test_witness_digest () =
+  let buf = Buffer.create (1 lsl 16) in
+  List.iter
+    (fun family ->
+      List.iter
+        (fun (m, n) ->
+          for seed = 1 to 40 do
+            let s = OC.solve (campaign_instance family ~m ~n ~seed) in
+            Printf.bprintf buf "%s m=%d n=%d seed=%d: %d [%s] %d\n%s\n"
+              (Crs_campaign.Spec.family_to_string family)
+              m n seed s.OC.makespan
+              (String.concat ";" (List.map string_of_int s.OC.stats.OC.layers))
+              s.OC.stats.OC.generated
+              (Schedule.to_string s.OC.schedule)
+          done)
+        [ (3, 5); (3, 6); (4, 4) ])
+    Crs_campaign.Spec.[ Uniform; Heavy_tailed; Balanced ];
+  Alcotest.(check string) "360 solves: makespan, layers, generated, witness"
+    witness_digest
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+(* Allocation budget of the search loop: minor words spent inside the
+   solves per generated successor, on seeds 1-50 of the campaign-sweep
+   family (uniform, m = 3, n = 6). With tracing and metrics off the
+   count repeats exactly. A closure or boxed value per comparison, probe
+   or finish-set mask costs about 250 words per successor; the keys and
+   nodes a solve keeps, with its per-layer lists, cost about 20. *)
+let test_alloc_budget () =
+  Crs_obs.Metrics.set_enabled false;
+  Crs_obs.Trace.set_enabled false;
+  let words = ref 0.0 and generated = ref 0 in
+  for seed = 1 to 50 do
+    let i = campaign_instance Crs_campaign.Spec.Uniform ~m:3 ~n:6 ~seed in
+    let w0 = Gc.minor_words () in
+    let s = OC.solve i in
+    let spent = Gc.minor_words () -. w0 in
+    words := !words +. spent;
+    generated := !generated + s.OC.stats.OC.generated
+  done;
+  let per = !words /. float_of_int !generated in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per generated successor (%d generated) <= 40"
+       per !generated)
+    true (per <= 40.0)
+
 let suite =
   [
     Alcotest.test_case "corpus instances agree with frozen kernels" `Quick
@@ -209,4 +283,8 @@ let suite =
       test_tier_boundary_parity;
     Alcotest.test_case "opt_two fuel price = reachable cells" `Quick
       test_fuel_price_is_reachable_cells;
+    Alcotest.test_case "opt_config witnesses pinned to a digest" `Quick
+      test_witness_digest;
+    Alcotest.test_case "opt_config allocation budget per successor" `Quick
+      test_alloc_budget;
   ]
