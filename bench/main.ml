@@ -6,19 +6,19 @@
    DESIGN.md section 5 for the index and EXPERIMENTS.md for recorded
    results). Run `dune exec bench/main.exe` for all experiments, pass an
    experiment id (f1 f2 f3 f4 f5 t3 t5 t6 t7 l56 mc ext bp dc fa mr
-   ablation campaign registry num obs dp) to run one, `micro` for the
-   Bechamel runtime micro-benchmarks, or `smoke` for a tiny-n pass over
-   the gated experiments (num obs dp registry) that judges no timing
-   gates — this is what `dune build @bench-smoke` runs. `num` also
-   accepts `--check` (fast differential sample only) and
-   `--record-baseline` (write data/num_baseline.json for the speedup
-   gate). *)
+   ablation campaign registry fuzz num obs dp) to run one, `micro` for
+   the runtime micro-benchmarks, or `smoke` for a tiny-n pass over the
+   gated experiments and `micro` that judges no timing gates — this is
+   what `dune build @bench-smoke` runs. `num` also accepts `--check`
+   (fast differential sample only). Every timing goes through
+   Harness. *)
 
 module Q = Crs_num.Rational
 open Crs_core
 module A = Crs_generators.Adversarial
 module T = Crs_render.Table
 module R = Crs_algorithms.Registry
+module H = Harness
 
 (* Name-based dispatch through the solver registry; experiments that
    exercise a specific implementation detail (pruning flags, tie-break
@@ -208,12 +208,8 @@ let exp_t5 () =
     List.map
       (fun n ->
         let instance = Helpers_bench.random_two_proc ~n st 0 in
-        let t0 = Unix.gettimeofday () in
-        let ms = Crs_algorithms.Opt_two.makespan instance in
-        let dt_arr = Unix.gettimeofday () -. t0 in
-        let t0 = Unix.gettimeofday () in
-        let pq = Crs_algorithms.Opt_two_pq.run instance in
-        let dt_pq = Unix.gettimeofday () -. t0 in
+        let ms, dt_arr = H.time (fun () -> Crs_algorithms.Opt_two.makespan instance) in
+        let pq, dt_pq = H.time (fun () -> Crs_algorithms.Opt_two_pq.run instance) in
         assert (ms = pq.Crs_algorithms.Opt_two_pq.makespan);
         let expanded = pq.Crs_algorithms.Opt_two_pq.expanded in
         [
@@ -704,12 +700,13 @@ let exp_ablation () =
 
 (* ---------- campaign: parallel batch-evaluation subsystem ---------- *)
 
-let exp_campaign () =
+let exp_campaign ?(mode = `Run) () =
   banner "campaign" "work-stealing campaign executor (sequential vs parallel)"
     "greedy-vs-opt ratio sweeps (t5/t6 style) fan out across the Chase-Lev \
      work-stealing executor; payloads and trace signatures are byte-identical \
      at any pool size";
   let module C = Crs_campaign in
+  let seed_hi, reps = match mode with `Run -> (60, 9) | `Smoke -> (6, 1) in
   let spec =
     {
       C.Spec.family = C.Spec.Uniform;
@@ -717,7 +714,7 @@ let exp_campaign () =
       n = 4;
       granularity = 10;
       seed_lo = 1;
-      seed_hi = 60;
+      seed_hi;
       algorithms =
         [
           Crs_algorithms.Registry.Names.greedy_balance;
@@ -732,59 +729,29 @@ let exp_campaign () =
   let domains = 4 in
   let run_seq () = C.Runner.run ~domains:1 spec in
   let run_par () = C.Runner.run ~domains spec in
-  (* Paired-reps methodology (same as BENCH_num/BENCH_obs): every timed
-     region starts from a settled GC, each rep times both variants
-     back-to-back with the order alternating, and the gate uses the
-     MEDIAN of the per-rep ratios — machine-speed drift hits both halves
-     of a pair, and reps where a slow phase lands between the halves are
-     discarded by the median. *)
-  let time f =
-    Gc.full_major ();
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
+  (* Every run's result is kept, so the payloads of each timed pair are
+     compared after the timing, outside it. *)
+  let seq_runs = ref [] and par_runs = ref [] in
+  let keep runs run () = runs := run () :: !runs in
+  let p = H.paired ~warmups:1 ~reps (keep seq_runs run_seq) (keep par_runs run_par) in
+  (* The harness's ratio is parallel over sequential time; with an odd
+     rep count its reciprocal is exactly the median per-rep speedup. *)
+  let speedup = 1.0 /. p.H.ratio in
+  let seq_best = p.H.best_a and par_best = p.H.best_b in
+  let payloads_identical =
+    List.for_all2
+      (fun s q -> String.equal (C.Report.payload_digest s) (C.Report.payload_digest q))
+      !seq_runs !par_runs
   in
-  (* Warmup: first runs in a process carry heap sizing + domain spawn
-     cold costs; keep every retained rep in the stable position. *)
-  ignore (run_seq ());
-  ignore (run_par ());
-  let reps = 9 in
-  let ratios = Array.make reps 0.0 in
-  let seq_best = ref infinity and par_best = ref infinity in
-  let payloads_identical = ref true in
-  let seq_digest = ref "" in
-  for i = 0 to reps - 1 do
-    let (seq, seq_s), (par, par_s) =
-      if i land 1 = 0 then
-        let s = time run_seq in
-        (s, time run_par)
-      else
-        let p = time run_par in
-        (time run_seq, p)
-    in
-    if seq_s < !seq_best then seq_best := seq_s;
-    if par_s < !par_best then par_best := par_s;
-    ratios.(i) <- seq_s /. Float.max par_s 1e-9;
-    seq_digest := C.Report.payload_digest seq;
-    payloads_identical :=
-      !payloads_identical && String.equal !seq_digest (C.Report.payload_digest par)
-  done;
-  let median a =
-    let s = Array.copy a in
-    Array.sort compare s;
-    let n = Array.length s in
-    if n land 1 = 1 then s.(n / 2) else (s.((n / 2) - 1) +. s.(n / 2)) /. 2.0
-  in
-  let speedup = median ratios in
   let rate t = float_of_int items /. Float.max t 1e-9 in
   print_string
     (T.render
        ~header:[ "mode"; "items"; "best wall s"; "items/s" ]
        [
-         [ "sequential"; string_of_int items; Printf.sprintf "%.3f" !seq_best;
-           Printf.sprintf "%.1f" (rate !seq_best) ];
+         [ "sequential"; string_of_int items; Printf.sprintf "%.3f" seq_best;
+           Printf.sprintf "%.1f" (rate seq_best) ];
          [ Printf.sprintf "executor (%d domains)" domains; string_of_int items;
-           Printf.sprintf "%.3f" !par_best; Printf.sprintf "%.1f" (rate !par_best) ];
+           Printf.sprintf "%.3f" par_best; Printf.sprintf "%.1f" (rate par_best) ];
        ]);
   (* Executor behavior under this workload, via the crs_obs counters the
      executor records (zero-cost while the benches above ran untraced). *)
@@ -844,26 +811,25 @@ let exp_campaign () =
     (match summary.C.Report.mean_ratio with
     | Some r -> Printf.sprintf "%.4f" r
     | None -> "-");
-  let json =
-    Printf.sprintf
-      "{\"items\":%d,\"domains\":%d,\"domains_used\":%d,\"hardware_cores\":%d,\
-       \"reps\":%d,\"sequential_s\":%.6f,\"parallel_s\":%.6f,\
-       \"sequential_items_per_s\":%.2f,\"parallel_items_per_s\":%.2f,\
-       \"speedup\":%.4f,\"speedup_gate\":%.2f,\"gate_met\":%b,\
-       \"speedup_meaningful\":%b,\"payloads_identical\":%b,\
-       \"trace_signature_identical\":%b,\"exec_pushes\":%d,\
-       \"exec_steals\":%d,\"exec_parks\":%d}\n"
-      items domains domains hardware_cores reps !seq_best !par_best
-      (rate !seq_best) (rate !par_best) speedup speedup_gate gate_met
-      speedup_meaningful !payloads_identical trace_signature_identical
-      exec_pushes exec_steals exec_parks
-  in
-  Out_channel.with_open_text "BENCH_campaign.json" (fun oc ->
-      Out_channel.output_string oc json);
-  Printf.printf "wrote BENCH_campaign.json\n";
-  assert !payloads_identical;
+  (match mode with
+  | `Smoke -> Printf.printf "smoke run: timings carry no signal, gate not judged\n"
+  | `Run ->
+    H.write "BENCH_campaign.json"
+      (Printf.sprintf
+         "{\"items\":%d,\"domains\":%d,\"domains_used\":%d,\"hardware_cores\":%d,\
+          \"reps\":%d,\"sequential_s\":%.6f,\"parallel_s\":%.6f,\
+          \"sequential_items_per_s\":%.2f,\"parallel_items_per_s\":%.2f,\
+          \"speedup\":%.4f,\"speedup_gate\":%.2f,\"gate_met\":%b,\
+          \"speedup_meaningful\":%b,\"payloads_identical\":%b,\
+          \"trace_signature_identical\":%b,\"exec_pushes\":%d,\
+          \"exec_steals\":%d,\"exec_parks\":%d}\n"
+         items domains domains hardware_cores reps seq_best par_best
+         (rate seq_best) (rate par_best) speedup speedup_gate gate_met
+         speedup_meaningful payloads_identical trace_signature_identical
+         exec_pushes exec_steals exec_parks));
+  assert payloads_identical;
   assert trace_signature_identical;
-  assert ((not speedup_meaningful) || gate_met)
+  assert (mode = `Smoke || (not speedup_meaningful) || gate_met)
 
 (* ---------- registry: dispatch overhead ---------- *)
 
@@ -871,76 +837,52 @@ let exp_registry ?(mode = `Run) () =
   banner "registry" "solver-registry dispatch overhead"
     "capability-checked registry dispatch costs <= 5% over calling Opt_two directly";
   let solver = R.find_exn R.Names.opt_two in
-  (* min over repetitions: robust against scheduler noise. *)
-  let time_min ~reps f =
-    let best = ref infinity in
-    for _ = 1 to reps do
-      let t0 = Unix.gettimeofday () in
-      ignore (f ());
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt
-    done;
-    !best
+  let sizes, warmups, reps =
+    match mode with `Run -> ([ 50; 100; 200; 400 ], 8, 31) | `Smoke -> ([ 20; 40 ], 1, 2)
   in
-  let sizes, reps =
-    match mode with `Run -> ([ 50; 100; 200; 400 ], 7) | `Smoke -> ([ 20; 40 ], 2)
+  let instances = List.map (fun n -> A.round_robin_family ~n) sizes in
+  List.iter
+    (fun instance ->
+      assert (
+        (Crs_algorithms.Opt_two.solve instance).Crs_algorithms.Opt_two.makespan
+        = (R.solve solver instance).R.makespan))
+    instances;
+  (* Both sides do the full solve including witness replay, so the
+     measured gap is exactly the registry layer: the find + capability
+     check + counters/fuel bookkeeping. One call solves every size, and
+     the overhead is the median paired ratio: minima timed block by
+     block drift apart between blocks by more than the budget. *)
+  let p =
+    H.paired ~warmups ~reps
+      (fun () -> List.iter (fun i -> ignore (Crs_algorithms.Opt_two.solve i)) instances)
+      (fun () -> List.iter (fun i -> ignore (R.solve solver i)) instances)
   in
-  let total_direct = ref 0.0 and total_via = ref 0.0 in
-  let rows =
-    List.map
-      (fun n ->
-        let instance = A.round_robin_family ~n in
-        (* Both sides do the full solve including witness replay, so the
-           measured gap is exactly the registry layer: the find +
-           capability check + counters/fuel bookkeeping. *)
-        ignore (Crs_algorithms.Opt_two.solve instance) (* warm-up *);
-        let direct =
-          time_min ~reps (fun () ->
-              (Crs_algorithms.Opt_two.solve instance).Crs_algorithms.Opt_two.makespan)
-        in
-        let via = time_min ~reps (fun () -> (R.solve solver instance).R.makespan) in
-        assert (
-          (Crs_algorithms.Opt_two.solve instance).Crs_algorithms.Opt_two.makespan
-          = (R.solve solver instance).R.makespan);
-        total_direct := !total_direct +. direct;
-        total_via := !total_via +. via;
-        [
-          string_of_int n;
-          Printf.sprintf "%.3f" (direct *. 1000.);
-          Printf.sprintf "%.3f" (via *. 1000.);
-          Printf.sprintf "%+.2f%%" ((via -. direct) /. direct *. 100.);
-        ])
-      sizes
-  in
-  print_string
-    (T.render ~header:[ "n (Fig. 3 family)"; "direct ms"; "registry ms"; "overhead" ] rows);
-  let overhead_pct = (!total_via -. !total_direct) /. !total_direct *. 100. in
+  let overhead_pct = (p.H.ratio -. 1.0) *. 100. in
   let budget_pct = 5.0 in
-  Printf.printf "aggregate dispatch overhead %+.2f%% (budget %.1f%%)\n" overhead_pct
-    budget_pct;
+  Printf.printf
+    "Figure-3 n = %s per call: direct %.3f ms, registry %.3f ms (best of %d)\n\
+     dispatch overhead %+.2f%% (median of %d paired ratios; budget %.1f%%)\n"
+    (String.concat "," (List.map string_of_int sizes))
+    (p.H.best_a *. 1000.) (p.H.best_b *. 1000.) reps overhead_pct reps budget_pct;
   match mode with
   | `Smoke -> Printf.printf "smoke run: timings carry no signal, budget not judged\n"
   | `Run ->
-    let json =
-      Printf.sprintf
-        "{\"sizes\":[%s],\"reps\":%d,\"direct_s\":%.6f,\"registry_s\":%.6f,\
-         \"overhead_pct\":%.4f,\"budget_pct\":%.1f,\"within_budget\":%b}\n"
-        (String.concat "," (List.map string_of_int sizes))
-        reps !total_direct !total_via overhead_pct budget_pct
-        (overhead_pct <= budget_pct)
-    in
-    Out_channel.with_open_text "BENCH_registry.json" (fun oc ->
-        Out_channel.output_string oc json);
-    Printf.printf "wrote BENCH_registry.json\n";
+    H.write "BENCH_registry.json"
+      (Printf.sprintf
+         "{\"sizes\":[%s],\"reps\":%d,\"direct_s\":%.6f,\"registry_s\":%.6f,\
+          \"overhead_pct\":%.4f,\"budget_pct\":%.1f,\"within_budget\":%b}\n"
+         (String.concat "," (List.map string_of_int sizes))
+         reps p.H.best_a p.H.best_b overhead_pct budget_pct
+         (overhead_pct <= budget_pct));
     assert (overhead_pct <= budget_pct)
 
 (* ---------- fuzz: certifier throughput + gate ---------- *)
 
-let exp_fuzz () =
+let exp_fuzz ?(mode = `Run) () =
   banner "fuzz" "independent schedule-certifier throughput"
     "Certify.check re-validates every greedy-balance witness from scratch";
   let spec = { Crs_campaign.Spec.default with m = 4; n = 6; granularity = 12 } in
-  let count = 200 in
+  let count, rounds = match mode with `Run -> (200, 5) | `Smoke -> (20, 1) in
   let solver = R.find_exn R.Names.greedy_balance in
   let witnesses =
     Array.init count (fun i ->
@@ -959,126 +901,31 @@ let exp_fuzz () =
       witnesses
   in
   ignore (certify_all ()) (* warm-up *);
-  let rounds = 5 in
   let all_certified = ref true in
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to rounds do
-    all_certified := certify_all () && !all_certified
-  done;
-  let certify_s = Unix.gettimeofday () -. t0 in
+  let certify_s =
+    H.seconds (fun () ->
+        for _ = 1 to rounds do
+          all_certified := certify_all () && !all_certified
+        done)
+  in
   let certified = count * rounds in
   let certified_per_s = float_of_int certified /. certify_s in
   Printf.printf
     "certified %d witnesses (%d instances x %d rounds) in %.3fs: %.0f/s, all_certified=%b\n"
     certified count rounds certify_s certified_per_s !all_certified;
-  let json =
-    Printf.sprintf
-      "{\"instances\":%d,\"rounds\":%d,\"certify_s\":%.6f,\
-       \"certified_per_s\":%.1f,\"all_certified\":%b}\n"
-      count rounds certify_s certified_per_s !all_certified
-  in
-  Out_channel.with_open_text "BENCH_fuzz.json" (fun oc ->
-      Out_channel.output_string oc json);
-  Printf.printf "wrote BENCH_fuzz.json\n";
+  (match mode with
+  | `Smoke -> Printf.printf "smoke run: no file written\n"
+  | `Run ->
+    H.write "BENCH_fuzz.json"
+      (Printf.sprintf
+         "{\"instances\":%d,\"rounds\":%d,\"certify_s\":%.6f,\
+          \"certified_per_s\":%.1f,\"all_certified\":%b}\n"
+         count rounds certify_s certified_per_s !all_certified));
   assert !all_certified
 
 (* ---------- num: number-layer throughput + gate ---------- *)
 
-(* Minimal field extractor for the flat one-line JSON files this harness
-   writes; no JSON dependency is installed. *)
-let json_number_field text key =
-  let needle = "\"" ^ key ^ "\":" in
-  let n = String.length text and m = String.length ("\"" ^ key ^ "\":") in
-  let rec find i =
-    if i + m > n then None
-    else if String.equal (String.sub text i m) needle then Some (i + m)
-    else find (i + 1)
-  in
-  match find 0 with
-  | None -> None
-  | Some start ->
-    let stop = ref start in
-    while
-      !stop < n
-      &&
-      match text.[!stop] with
-      | '0' .. '9' | '.' | '-' | '+' | 'e' | 'E' -> true
-      | _ -> false
-    do
-      incr stop
-    done;
-    if !stop = start then None
-    else float_of_string_opt (String.sub text start (!stop - start))
-
 let num_baseline_path = "data/num_baseline.json"
-
-(* The per-op loops run on paper-style operands: requirement-sized
-   fractions with denominators <= 12, i.e. the small tier once the
-   two-tier representation lands. *)
-let num_measure () =
-  let pool_size = 1024 in
-  let pool =
-    Array.init pool_size (fun i -> Q.of_ints ((i mod 23) - 11) ((i mod 12) + 1))
-  in
-  let per_op name iters f =
-    (* Start every timed section from a compacted heap: the sections
-       differ wildly in allocation profile, and inherited GC state
-       otherwise skews later sections by 2x. *)
-    Gc.compact ();
-    let t0 = Unix.gettimeofday () in
-    for k = 0 to iters - 1 do
-      ignore (Sys.opaque_identity (f pool.(k land 1023) pool.((k * 7 + 3) land 1023)))
-    done;
-    let dt = Unix.gettimeofday () -. t0 in
-    (name, dt /. float_of_int iters *. 1e9)
-  in
-  let time_min ~reps f =
-    Gc.compact ();
-    let best = ref infinity in
-    for _ = 1 to reps do
-      let t0 = Unix.gettimeofday () in
-      ignore (Sys.opaque_identity (f ()));
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt
-    done;
-    !best
-  in
-  let ops =
-    [
-      per_op "add" 1_000_000 Q.add;
-      per_op "mul" 1_000_000 Q.mul;
-      per_op "compare" 1_000_000 (fun a b -> Q.of_int (Q.compare a b));
-      ( "sum500",
-        (Gc.compact ();
-         let t0 = Unix.gettimeofday () in
-         for _ = 1 to 20 do
-           ignore
-             (Sys.opaque_identity
-                (Q.sum (List.init 500 (fun i -> Q.of_ints 1 (i + 1)))))
-         done;
-         (Unix.gettimeofday () -. t0) /. 20. *. 1e9) );
-    ]
-  in
-  let opt_two_n = 1200 in
-  let fig3_big = A.round_robin_family ~n:opt_two_n in
-  ignore (Crs_algorithms.Opt_two.makespan fig3_big) (* warm-up *);
-  let opt_two_s =
-    time_min ~reps:3 (fun () -> Crs_algorithms.Opt_two.makespan fig3_big)
-  in
-  let brute_n = 800 in
-  let fig3_small = A.round_robin_family ~n:brute_n in
-  let brute_s =
-    time_min ~reps:3 (fun () ->
-        Crs_algorithms.Brute_force.makespan ~node_limit:20_000_000 fig3_small)
-  in
-  (ops, opt_two_n, opt_two_s, brute_n, brute_s)
-
-let num_json ops opt_two_n opt_two_s brute_n brute_s =
-  Printf.sprintf
-    "{%s,\"opt_two_n\":%d,\"opt_two_s\":%.6f,\"brute_n\":%d,\"brute_s\":%.6f}"
-    (String.concat ","
-       (List.map (fun (name, ns) -> Printf.sprintf "\"%s_ns\":%.2f" name ns) ops))
-    opt_two_n opt_two_s brute_n brute_s
 
 let exp_num ?(mode = `Run) () =
   banner "num" "exact-rational number layer (two-tier small/bigint fast path)"
@@ -1086,221 +933,169 @@ let exp_num ?(mode = `Run) () =
      vs the pre-change baseline, exactness pinned by a differential suite";
   match mode with
   | `Check ->
-    let t0 = Unix.gettimeofday () in
-    let outcome = Crs_num.Check.run ~ops:10_000 ~seed:2024 () in
-    let dt = Unix.gettimeofday () -. t0 in
+    let outcome, dt = H.time (fun () -> Crs_num.Check.run ~ops:10_000 ~seed:2024 ()) in
     Printf.printf "differential check: %s in %.3fs (budget 1s)\n"
       (Crs_num.Check.describe outcome) dt;
     if not (Crs_num.Check.ok outcome) || dt >= 1.0 then exit 1
-  | (`Record | `Run) as mode -> (
-    let ops, opt_two_n, opt_two_s, brute_n, brute_s = num_measure () in
+  | `Run ->
+    (* The per-op loops run on paper-style operands: requirement-sized
+       fractions with denominators <= 12, i.e. the small tier once the
+       two-tier representation lands. *)
+    let pool = Array.init 1024 (fun i -> Q.of_ints ((i mod 23) - 11) ((i mod 12) + 1)) in
+    let per_op name iters f =
+      let s =
+        H.seconds (fun () ->
+            for k = 0 to iters - 1 do
+              ignore
+                (Sys.opaque_identity (f pool.(k land 1023) pool.((k * 7 + 3) land 1023)))
+            done)
+      in
+      (name, s /. float_of_int iters *. 1e9)
+    in
+    let ops =
+      [
+        per_op "add" 1_000_000 Q.add;
+        per_op "mul" 1_000_000 Q.mul;
+        per_op "compare" 1_000_000 (fun a b -> Q.of_int (Q.compare a b));
+        ( "sum500",
+          H.seconds (fun () ->
+              for _ = 1 to 20 do
+                ignore
+                  (Sys.opaque_identity
+                     (Q.sum (List.init 500 (fun i -> Q.of_ints 1 (i + 1)))))
+              done)
+          /. 20. *. 1e9 );
+      ]
+    in
+    let opt_two_n = 1200 in
+    let fig3_big = A.round_robin_family ~n:opt_two_n in
+    ignore (Crs_algorithms.Opt_two.makespan fig3_big) (* warm-up *);
+    let opt_two_s =
+      H.best_of ~reps:3 (fun () -> Crs_algorithms.Opt_two.makespan fig3_big)
+    in
+    let brute_n = 800 in
+    let fig3_small = A.round_robin_family ~n:brute_n in
+    let brute_s =
+      H.best_of ~reps:3 (fun () ->
+          Crs_algorithms.Brute_force.makespan ~node_limit:20_000_000 fig3_small)
+    in
     print_string
       (T.render
          ~header:[ "operation"; "ns/op (small operands)" ]
          (List.map (fun (name, ns) -> [ name; Printf.sprintf "%.1f" ns ]) ops));
     Printf.printf "end-to-end: opt_two fig3 n=%d %.3fs | brute_force fig3 n=%d %.3fs\n"
       opt_two_n opt_two_s brute_n brute_s;
-    match mode with
-    | `Record ->
-      Out_channel.with_open_text num_baseline_path (fun oc ->
-          Out_channel.output_string oc
-            (num_json ops opt_two_n opt_two_s brute_n brute_s ^ "\n"));
-      Printf.printf "recorded pre-change baseline to %s\n" num_baseline_path
-    | `Run ->
-      let outcome = Crs_num.Check.run ~ops:10_000 ~seed:2024 () in
-      Printf.printf "differential check: %s\n" (Crs_num.Check.describe outcome);
-      let baseline =
-        In_channel.with_open_text num_baseline_path In_channel.input_all
-      in
-      let field key =
-        match json_number_field baseline key with
-        | Some v -> v
-        | None -> failwith (Printf.sprintf "%s: missing %s" num_baseline_path key)
-      in
-      let b_opt_two = field "opt_two_s" and b_brute = field "brute_s" in
-      let opt_two_speedup = b_opt_two /. Float.max opt_two_s 1e-9 in
-      let brute_speedup = b_brute /. Float.max brute_s 1e-9 in
-      let gate = 2.0 in
-      let gate_met = opt_two_speedup >= gate in
-      let op_line (name, ns) =
-        let base = field (name ^ "_ns") in
-        Printf.sprintf
-          "\"%s\":{\"now_ns\":%.2f,\"baseline_ns\":%.2f,\"speedup\":%.2f}" name ns
-          base (base /. Float.max ns 1e-9)
-      in
-      let json =
-        Printf.sprintf
-          "{\"ops\":{%s},\"opt_two_n\":%.0f,\"opt_two_s\":%.6f,\
-           \"opt_two_baseline_s\":%.6f,\"opt_two_speedup\":%.4f,\"brute_n\":%.0f,\
-           \"brute_s\":%.6f,\"brute_baseline_s\":%.6f,\"brute_speedup\":%.4f,\
-           \"differential_ops\":%d,\"differential_ok\":%b,\"gate\":%.1f,\
-           \"gate_met\":%b}\n"
-          (String.concat "," (List.map op_line ops))
-          (field "opt_two_n") opt_two_s b_opt_two opt_two_speedup (field "brute_n")
-          brute_s b_brute brute_speedup outcome.Crs_num.Check.ops
-          (Crs_num.Check.ok outcome) gate gate_met
-      in
-      Out_channel.with_open_text "BENCH_num.json" (fun oc ->
-          Out_channel.output_string oc json);
-      Printf.printf
-        "speedup vs pre-change baseline: opt_two %.2fx, brute_force %.2fx (gate \
-         %.1fx on opt_two: %s)\n"
-        opt_two_speedup brute_speedup gate
-        (if gate_met then "met" else "NOT MET");
-      Printf.printf "wrote BENCH_num.json\n";
-      assert (Crs_num.Check.ok outcome);
-      assert gate_met)
+    let outcome = Crs_num.Check.run ~ops:10_000 ~seed:2024 () in
+    Printf.printf "differential check: %s\n" (Crs_num.Check.describe outcome);
+    let module J = Crs_util.Stable_json in
+    let baseline =
+      match J.parse (In_channel.with_open_text num_baseline_path In_channel.input_all) with
+      | Ok b -> b
+      | Error e -> failwith (num_baseline_path ^ ": " ^ e)
+    in
+    let field key =
+      match J.member key baseline with
+      | Some (J.Float v) -> v
+      | Some (J.Int v) -> float_of_int v
+      | _ -> failwith (Printf.sprintf "%s: missing %s" num_baseline_path key)
+    in
+    let b_opt_two = field "opt_two_s" and b_brute = field "brute_s" in
+    let opt_two_speedup = b_opt_two /. Float.max opt_two_s 1e-9 in
+    let brute_speedup = b_brute /. Float.max brute_s 1e-9 in
+    let gate = 2.0 in
+    let gate_met = opt_two_speedup >= gate in
+    let op_line (name, ns) =
+      let base = field (name ^ "_ns") in
+      Printf.sprintf
+        "\"%s\":{\"now_ns\":%.2f,\"baseline_ns\":%.2f,\"speedup\":%.2f}" name ns
+        base (base /. Float.max ns 1e-9)
+    in
+    H.write "BENCH_num.json"
+      (Printf.sprintf
+         "{\"ops\":{%s},\"opt_two_n\":%.0f,\"opt_two_s\":%.6f,\
+          \"opt_two_baseline_s\":%.6f,\"opt_two_speedup\":%.4f,\"brute_n\":%.0f,\
+          \"brute_s\":%.6f,\"brute_baseline_s\":%.6f,\"brute_speedup\":%.4f,\
+          \"differential_ops\":%d,\"differential_ok\":%b,\"gate\":%.1f,\
+          \"gate_met\":%b}\n"
+         (String.concat "," (List.map op_line ops))
+         (field "opt_two_n") opt_two_s b_opt_two opt_two_speedup (field "brute_n")
+         brute_s b_brute brute_speedup outcome.Crs_num.Check.ops
+         (Crs_num.Check.ok outcome) gate gate_met);
+    Printf.printf
+      "speedup vs pre-change baseline: opt_two %.2fx, brute_force %.2fx (gate \
+       %.1fx on opt_two: %s)\n"
+      opt_two_speedup brute_speedup gate
+      (if gate_met then "met" else "NOT MET");
+    assert (Crs_num.Check.ok outcome);
+    assert gate_met
 
 (* ---------- obs: tracing-overhead gate ---------- *)
 
 (* The gate compares Crs_algorithms.Opt_two (profiling hooks compiled
    in, tracing/metrics disabled) against Opt_two_unhooked, a frozen
    pre-instrumentation snapshot of the same DP vendored into this
-   binary. Both run in the SAME process with rep-interleaved timing, so
+   binary. Both run in the SAME process as paired reps, so
    machine-speed drift — which moves wall AND CPU-time minima several
    percent between processes on shared hardware, far above the 2% bound
    being checked — hits both sides identically and cancels out of the
    ratio. Per-rep CPU time keeps scheduler noise out of the minima. *)
-let obs_measure ?(opt_two_n = 1200) ?(reps = 30) ?(warmups = 8) () =
-  let cpu_s f =
-    (* Start every timed call from the same GC state: otherwise the
-       major slices owed by the PREVIOUS call land inside this one and
-       per-rep times swing by several percent. *)
-    Gc.full_major ();
-    let t0 = Crs_obs.Clock.cputime_ns () in
-    ignore (Sys.opaque_identity (f ()));
-    Int64.to_float (Int64.sub (Crs_obs.Clock.cputime_ns ()) t0) /. 1e9
+let exp_obs ?(mode = `Run) () =
+  banner "obs" "observability layer (span tracer + metrics registry)"
+    "gate: <= 2% overhead on Opt_two/Figure-3 with tracing disabled, vs the \
+     vendored pre-instrumentation copy of the DP (bench/opt_two_unhooked.ml)";
+  let opt_two_n, reps, warmups =
+    match mode with
+    (* n = 2400 keeps the timed region at the ~0.15s scale the 2%
+       budget was calibrated against: the flat-state kernel rewrite
+       made n = 1200 a ~40ms region, where run-to-run jitter alone is
+       a couple of percent. *)
+    | `Run -> (2400, 30, 8)
+    (* Smoke: the machinery end to end at a size where timings carry
+       no signal — no file written, no gate judged. *)
+    | `Smoke -> (80, 4, 1)
   in
   let fig3 = A.round_robin_family ~n:opt_two_n in
   let hooked () = Crs_algorithms.Opt_two.makespan fig3 in
   let unhooked () = Opt_two_unhooked.makespan fig3 in
   Crs_obs.Trace.set_enabled false;
   Crs_obs.Metrics.set_enabled false;
-  (* Throwaway pass first: the first dozen solves in a process run
-     10-15% slower while the heap sizes itself, so every retained rep
-     sits in the stable late-process position. *)
-  for _ = 1 to warmups do
-    ignore (cpu_s hooked);
-    ignore (cpu_s unhooked)
-  done;
-  (* Paired reps: each rep times both variants back-to-back (order
-     alternating, so GC pacing and slow phases hit both positions
-     equally) and contributes one hooked/unhooked ratio. The gate uses
-     the MEDIAN ratio — a slow co-tenant phase or major-GC slice skews
-     individual reps but moves paired ratios only when it lands between
-     the two halves of a pair, and the median discards those reps. *)
-  let ratios = Array.make reps 0.0 in
-  let baseline_s = ref infinity and disabled_s = ref infinity in
-  Gc.compact ();
-  for i = 0 to reps - 1 do
-    let b, d =
-      if i land 1 = 0 then
-        let b = cpu_s unhooked in
-        (b, cpu_s hooked)
-      else
-        let d = cpu_s hooked in
-        (cpu_s unhooked, d)
-    in
-    if b < !baseline_s then baseline_s := b;
-    if d < !disabled_s then disabled_s := d;
-    ratios.(i) <- d /. Float.max b 1e-9
-  done;
-  let median a =
-    let s = Array.copy a in
-    Array.sort compare s;
-    let n = Array.length s in
-    if n land 1 = 1 then s.(n / 2) else (s.((n / 2) - 1) +. s.(n / 2)) /. 2.0
-  in
-  let disabled_ratio = median ratios in
+  let disabled = H.paired ~clock:H.Cpu ~warmups ~reps unhooked hooked in
+  (* The unhooked copy calls neither Trace nor Metrics, so leaving both
+     on for its half of each pair changes nothing it does. *)
   Crs_obs.Trace.set_enabled true;
   Crs_obs.Metrics.set_enabled true;
-  let enabled_s = ref infinity in
-  let eratios = Array.make reps 0.0 in
-  for i = 0 to reps - 1 do
-    Crs_obs.Trace.reset ();
-    let b, e =
-      if i land 1 = 0 then begin
-        Crs_obs.Trace.set_enabled false;
-        let b = cpu_s unhooked in
-        Crs_obs.Trace.set_enabled true;
-        (b, cpu_s hooked)
-      end
-      else
-        let e = cpu_s hooked in
-        Crs_obs.Trace.set_enabled false;
-        let b = cpu_s unhooked in
-        Crs_obs.Trace.set_enabled true;
-        (b, e)
-    in
-    if e < !enabled_s then enabled_s := e;
-    eratios.(i) <- e /. Float.max b 1e-9
-  done;
-  let enabled_ratio = median eratios in
+  let enabled = H.paired ~clock:H.Cpu ~warmups:0 ~reps unhooked hooked in
   Crs_obs.Trace.reset ();
-  ignore (cpu_s hooked);
+  ignore (hooked ());
   let spans = List.length (Crs_obs.Trace.spans ()) in
   Crs_obs.Trace.set_enabled false;
   Crs_obs.Metrics.set_enabled false;
   Crs_obs.Trace.reset ();
-  ( opt_two_n,
-    !baseline_s,
-    !disabled_s,
-    disabled_ratio,
-    !enabled_s,
-    enabled_ratio,
-    spans )
-
-let exp_obs ?(mode = `Run) () =
-  banner "obs" "observability layer (span tracer + metrics registry)"
-    "gate: <= 2% overhead on Opt_two/Figure-3 with tracing disabled, vs the \
-     vendored pre-instrumentation copy of the DP (bench/opt_two_unhooked.ml)";
-  let ( opt_two_n,
-        baseline_s,
-        disabled_s,
-        disabled_ratio,
-        enabled_s,
-        enabled_ratio,
-        spans ) =
-    match mode with
-    (* n = 2400 keeps the timed region at the ~0.15s scale the 2%
-       budget was calibrated against: the flat-state kernel rewrite
-       made n = 1200 a ~40ms region, where run-to-run jitter alone is
-       a couple of percent. *)
-    | `Run -> obs_measure ~opt_two_n:2400 ()
-    | `Smoke ->
-      (* Smoke: the machinery end to end at a size where timings carry
-         no signal — no file written, no gate judged. *)
-      obs_measure ~opt_two_n:80 ~reps:4 ~warmups:1 ()
-  in
-  let overhead = disabled_ratio -. 1.0 in
-  let enabled_overhead = enabled_ratio -. 1.0 in
+  let overhead = disabled.H.ratio -. 1.0 in
+  let enabled_overhead = enabled.H.ratio -. 1.0 in
   let gate = 0.02 in
   let gate_met = overhead <= gate in
   Printf.printf
     "opt_two fig3 n=%d: unhooked %.3fs, disabled %.3fs, enabled %.3fs (%d \
      spans/solve)\n"
-    opt_two_n baseline_s disabled_s enabled_s spans;
+    opt_two_n disabled.H.best_a disabled.H.best_b enabled.H.best_b spans;
   match mode with
   | `Smoke -> Printf.printf "smoke run: timings carry no signal, gate not judged\n"
   | `Run ->
-    let json =
-      Printf.sprintf
-        "{\"opt_two_n\":%d,\"baseline_s\":%.6f,\"disabled_s\":%.6f,\
-         \"disabled_overhead\":%.4f,\"enabled_s\":%.6f,\
-         \"enabled_overhead\":%.4f,\"spans_per_solve\":%d,\"gate\":%.2f,\
-         \"gate_met\":%b}\n"
-        opt_two_n baseline_s disabled_s overhead enabled_s enabled_overhead spans
-        gate gate_met
-    in
-    Out_channel.with_open_text "BENCH_obs.json" (fun oc ->
-        Out_channel.output_string oc json);
+    H.write "BENCH_obs.json"
+      (Printf.sprintf
+         "{\"opt_two_n\":%d,\"baseline_s\":%.6f,\"disabled_s\":%.6f,\
+          \"disabled_overhead\":%.4f,\"enabled_s\":%.6f,\
+          \"enabled_overhead\":%.4f,\"spans_per_solve\":%d,\"gate\":%.2f,\
+          \"gate_met\":%b}\n"
+         opt_two_n disabled.H.best_a disabled.H.best_b overhead enabled.H.best_b
+         enabled_overhead spans gate gate_met);
     Printf.printf
       "disabled overhead vs unhooked baseline: %+.2f%% (gate <= %.0f%%: %s); \
        enabled: %+.2f%%\n"
       (overhead *. 100.) (gate *. 100.)
       (if gate_met then "met" else "NOT MET")
       (enabled_overhead *. 100.);
-    Printf.printf "wrote BENCH_obs.json\n";
     assert gate_met
 
 (* ---------- dp: flat-state DP kernels vs frozen boxed baselines ---------- *)
@@ -1370,140 +1165,82 @@ let exp_dp ?(mode = `Run) () =
           { Crs_campaign.Spec.default with m = 3; n = 6; granularity = 10 }
           ~seed:(k + 1))
   in
-  let words_per_solve solve instances =
-    let total = ref 0.0 in
-    List.iter
-      (fun i ->
-        let w0 = Gc.minor_words () in
-        ignore (Sys.opaque_identity (solve i));
-        total := !total +. (Gc.minor_words () -. w0))
-      instances;
-    !total /. float_of_int (List.length instances)
+  let mean_words solve instances =
+    List.fold_left (fun w i -> w +. H.minor_words (fun () -> solve i)) 0.0 instances
+    /. float_of_int (List.length instances)
   in
   let flat_solve i = Crs_algorithms.Opt_config.solve i
   and legacy_solve i = LC.solve i in
-  let fig3_words_flat = words_per_solve flat_solve [ fig3_cfg ]
-  and fig3_words_legacy = words_per_solve legacy_solve [ fig3_cfg ]
-  and sweep_words_flat = words_per_solve flat_solve sweep
-  and sweep_words_legacy = words_per_solve legacy_solve sweep in
+  let fig3_words_flat = mean_words flat_solve [ fig3_cfg ]
+  and fig3_words_legacy = mean_words legacy_solve [ fig3_cfg ]
+  and sweep_words_flat = mean_words flat_solve sweep
+  and sweep_words_legacy = mean_words legacy_solve sweep in
   Printf.printf
     "opt_config minor words per solve: fig3 n=%d flat %.0f legacy %.0f; \
      uniform m=3 n=6 seeds 1-%d flat %.0f legacy %.0f\n"
     cfg_n fig3_words_flat fig3_words_legacy sweep_seeds sweep_words_flat
     sweep_words_legacy;
-  (* Paired-reps methodology (same as BENCH_campaign/BENCH_obs): every
-     timed region starts from a settled GC, each rep times flat and
-     legacy back-to-back with the order alternating, and the gate uses
-     the MEDIAN of the per-rep ratios — machine-speed drift hits both
-     halves of a pair, and reps where a slow phase lands between the
-     halves are discarded by the median. *)
-  let time f =
-    Gc.full_major ();
-    let t0 = Unix.gettimeofday () in
-    ignore (Sys.opaque_identity (f ()));
-    Unix.gettimeofday () -. t0
-  in
-  let median a =
-    let s = Array.copy a in
-    Array.sort compare s;
-    let n = Array.length s in
-    if n land 1 = 1 then s.(n / 2) else (s.((n / 2) - 1) +. s.(n / 2)) /. 2.0
-  in
-  let measure name flat legacy =
-    ignore (flat ());
-    ignore (legacy ());
-    let ratios = Array.make reps 0.0 in
-    let flat_best = ref infinity and legacy_best = ref infinity in
-    for i = 0 to reps - 1 do
-      let f_s, l_s =
-        if i land 1 = 0 then
-          let f = time flat in
-          (f, time legacy)
-        else
-          let l = time legacy in
-          (time flat, l)
-      in
-      if f_s < !flat_best then flat_best := f_s;
-      if l_s < !legacy_best then legacy_best := l_s;
-      ratios.(i) <- l_s /. Float.max f_s 1e-9
-    done;
-    let speedup = median ratios in
-    Printf.printf "%-36s flat %.3fs legacy %.3fs -> %.2fx (median of %d)\n" name
-      !flat_best !legacy_best speedup reps;
-    (!flat_best, !legacy_best, speedup)
-  in
-  let two_flat, two_legacy, two_speedup =
-    measure
-      (Printf.sprintf "opt_two fig3 n=%d (full solve)" two_n)
+  (* Paired reps, flat first on even reps; the speedup is the median
+     legacy/flat ratio. *)
+  let two =
+    H.paired ~warmups:1 ~reps
       (fun () -> Crs_algorithms.Opt_two.solve fig3_two)
       (fun () -> L2.solve fig3_two)
   in
-  let cfg_flat, cfg_legacy, cfg_speedup =
-    measure
-      (Printf.sprintf "opt_config fig3 n=%d x%d (full solve)" cfg_n cfg_iters)
+  let cfg =
+    H.paired ~warmups:1 ~reps
       (fun () ->
-        for _ = 1 to cfg_iters - 1 do
+        for _ = 1 to cfg_iters do
           ignore (Sys.opaque_identity (Crs_algorithms.Opt_config.solve fig3_cfg))
-        done;
-        Crs_algorithms.Opt_config.solve fig3_cfg)
+        done)
       (fun () ->
-        for _ = 1 to cfg_iters - 1 do
+        for _ = 1 to cfg_iters do
           ignore (Sys.opaque_identity (LC.solve fig3_cfg))
-        done;
-        LC.solve fig3_cfg)
+        done)
   in
+  List.iter
+    (fun (name, (p : H.paired)) ->
+      Printf.printf "%-36s flat %.3fs legacy %.3fs -> %.2fx (median of %d)\n" name
+        p.best_a p.best_b p.ratio reps)
+    [
+      (Printf.sprintf "opt_two fig3 n=%d (full solve)" two_n, two);
+      (Printf.sprintf "opt_config fig3 n=%d x%d (full solve)" cfg_n cfg_iters, cfg);
+    ];
   match mode with
   | `Smoke -> Printf.printf "smoke run: timings carry no signal, gate not judged\n"
   | `Run ->
     let gate = 2.0 in
-    let gate_met = two_speedup >= gate && cfg_speedup >= gate in
-    let json =
-      Printf.sprintf
-        "{\"opt_two_n\":%d,\"opt_two_flat_s\":%.6f,\"opt_two_legacy_s\":%.6f,\
-         \"opt_two_speedup\":%.4f,\"opt_config_n\":%d,\"opt_config_iters\":%d,\
-         \"opt_config_flat_s\":%.6f,\"opt_config_legacy_s\":%.6f,\
-         \"opt_config_speedup\":%.4f,\"reps\":%d,\"cells_expanded\":%d,\
-         \"relaxations\":%d,\"generated\":%d,\
-         \"opt_config_fig3_words_flat\":%.0f,\
-         \"opt_config_fig3_words_legacy\":%.0f,\"opt_config_sweep_seeds\":%d,\
-         \"opt_config_sweep_words_flat\":%.0f,\
-         \"opt_config_sweep_words_legacy\":%.0f,\"parity\":true,\"gate\":%.1f,\
-         \"gate_met\":%b}\n"
-        two_n two_flat two_legacy two_speedup cfg_n cfg_iters cfg_flat cfg_legacy
-        cfg_speedup reps s_new.counters.Crs_algorithms.Opt_two.cells_expanded
-        s_new.counters.Crs_algorithms.Opt_two.relaxations
-        c_new.stats.Crs_algorithms.Opt_config.generated fig3_words_flat
-        fig3_words_legacy sweep_seeds sweep_words_flat sweep_words_legacy gate
-        gate_met
-    in
-    Out_channel.with_open_text "BENCH_dp.json" (fun oc ->
-        Out_channel.output_string oc json);
+    let gate_met = two.H.ratio >= gate && cfg.H.ratio >= gate in
+    H.write "BENCH_dp.json"
+      (Printf.sprintf
+         "{\"opt_two_n\":%d,\"opt_two_flat_s\":%.6f,\"opt_two_legacy_s\":%.6f,\
+          \"opt_two_speedup\":%.4f,\"opt_config_n\":%d,\"opt_config_iters\":%d,\
+          \"opt_config_flat_s\":%.6f,\"opt_config_legacy_s\":%.6f,\
+          \"opt_config_speedup\":%.4f,\"reps\":%d,\"cells_expanded\":%d,\
+          \"relaxations\":%d,\"generated\":%d,\
+          \"opt_config_fig3_words_flat\":%.0f,\
+          \"opt_config_fig3_words_legacy\":%.0f,\"opt_config_sweep_seeds\":%d,\
+          \"opt_config_sweep_words_flat\":%.0f,\
+          \"opt_config_sweep_words_legacy\":%.0f,\"parity\":true,\"gate\":%.1f,\
+          \"gate_met\":%b}\n"
+         two_n two.H.best_a two.H.best_b two.H.ratio cfg_n cfg_iters cfg.H.best_a
+         cfg.H.best_b cfg.H.ratio reps
+         s_new.counters.Crs_algorithms.Opt_two.cells_expanded
+         s_new.counters.Crs_algorithms.Opt_two.relaxations
+         c_new.stats.Crs_algorithms.Opt_config.generated fig3_words_flat
+         fig3_words_legacy sweep_seeds sweep_words_flat sweep_words_legacy gate
+         gate_met);
     Printf.printf
       "speedup vs frozen boxed kernels: opt_two %.2fx, opt_config %.2fx (gate \
        >= %.1fx on BOTH: %s)\n"
-      two_speedup cfg_speedup gate
+      two.H.ratio cfg.H.ratio gate
       (if gate_met then "met" else "NOT MET");
-    Printf.printf "wrote BENCH_dp.json\n";
     assert gate_met
 
-(* ---------- smoke: tiny-n pass over every gated experiment ---------- *)
+(* ---------- micro: runtime micro-benchmarks ---------- *)
 
-(* `dune build @bench-smoke` runs this: exercises the num / obs / dp /
-   registry experiment machinery end to end at sizes where each takes
-   well under a second, writes no files and judges no timing gates
-   (correctness asserts — differential checks, kernel parity — still
-   run). Catches bit-rot in the bench harness itself without paying for
-   a full calibrated run. *)
-let smoke () =
-  exp_num ~mode:`Check ();
-  exp_obs ~mode:`Smoke ();
-  exp_dp ~mode:`Smoke ();
-  exp_registry ~mode:`Smoke ()
-
-(* ---------- Bechamel micro-benchmarks ---------- *)
-
-let micro () =
-  let open Bechamel in
+(* ns per call, each case timed for about [budget] seconds. *)
+let micro ?(budget = 0.4) () =
   let st = Random.State.make [| 4242 |] in
   let two n = Helpers_bench.random_two_proc ~n st 0 in
   let inst50 = two 50 and inst200 = two 200 in
@@ -1511,54 +1248,54 @@ let micro () =
   let inst_m3 = Crs_generators.Random_gen.equal_rows ~m:3 ~n:3 ~granularity:10 st2 in
   let big_family = A.greedy_balance_family ~m:4 ~blocks:25 () in
   let rr_family = A.round_robin_family ~n:200 in
-  let tests =
+  let cases =
     [
       (* T5: the O(n^2) DP and its PQ variant. *)
-      Test.make ~name:"opt_two n=50" (Staged.stage (fun () ->
-          ignore (Crs_algorithms.Opt_two.makespan inst50)));
-      Test.make ~name:"opt_two n=200" (Staged.stage (fun () ->
-          ignore (Crs_algorithms.Opt_two.makespan inst200)));
-      Test.make ~name:"opt_two_pq n=200" (Staged.stage (fun () ->
-          ignore (Crs_algorithms.Opt_two_pq.makespan inst200)));
+      ("opt_two n=50", fun () -> ignore (Crs_algorithms.Opt_two.makespan inst50));
+      ("opt_two n=200", fun () -> ignore (Crs_algorithms.Opt_two.makespan inst200));
+      ("opt_two_pq n=200", fun () -> ignore (Crs_algorithms.Opt_two_pq.makespan inst200));
       (* T6: configuration enumeration at fixed m. *)
-      Test.make ~name:"opt_config m=3 n=3" (Staged.stage (fun () ->
-          ignore (Crs_algorithms.Opt_config.makespan inst_m3)));
+      ("opt_config m=3 n=3", fun () -> ignore (Crs_algorithms.Opt_config.makespan inst_m3));
       (* T7/T8: the linear-time approximation on a large family instance. *)
-      Test.make ~name:"greedy_balance m=4 100 jobs/proc" (Staged.stage (fun () ->
-          ignore (Crs_algorithms.Greedy_balance.makespan big_family)));
+      ( "greedy_balance m=4 100 jobs/proc",
+        fun () -> ignore (Crs_algorithms.Greedy_balance.makespan big_family) );
       (* T3: round robin on the Figure 3 family. *)
-      Test.make ~name:"round_robin n=200" (Staged.stage (fun () ->
-          ignore (Crs_algorithms.Round_robin.makespan rr_family)));
+      ("round_robin n=200", fun () -> ignore (Crs_algorithms.Round_robin.makespan rr_family));
       (* Substrate: exact arithmetic throughput (harmonic sums grow the
          denominators into genuine multi-limb territory). *)
-      Test.make ~name:"rational sum 1/1..1/500" (Staged.stage (fun () ->
-          ignore (Q.sum (List.init 500 (fun i -> Q.of_ints 1 (i + 1))))));
+      ( "rational sum 1/1..1/500",
+        fun () -> ignore (Q.sum (List.init 500 (fun i -> Q.of_ints 1 (i + 1)))) );
       (* S8: simulator tick loop. *)
-      Test.make ~name:"manycore mixed-vm 9 cores" (Staged.stage (fun () ->
+      ( "manycore mixed-vm 9 cores",
+        fun () ->
           let stw = Random.State.make [| 7 |] in
           let tasks = Crs_manycore.Workload.mixed_vm ~cores:9 stw in
-          ignore (Crs_manycore.Engine.run Crs_manycore.Policy.greedy_balance tasks)));
+          ignore (Crs_manycore.Engine.run Crs_manycore.Policy.greedy_balance tasks) );
     ]
   in
-  let benchmark test =
-    let analyze = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-    let instances = Toolkit.Instance.[ monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.4) ~kde:(Some 100) () in
-    let raw = Benchmark.all cfg instances test in
-    Analyze.all analyze Toolkit.Instance.monotonic_clock raw
-  in
-  Printf.printf "\n=== MICRO: runtime micro-benchmarks (bechamel) ===\n\n";
+  Printf.printf "\n=== MICRO: runtime micro-benchmarks ===\n\n";
   List.iter
-    (fun test ->
-      let results = benchmark (Test.make_grouped ~name:"g" [ test ]) in
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] ->
-            Printf.printf "%-36s %12.1f ns/run\n" name est
-          | _ -> Printf.printf "%-36s (no estimate)\n" name)
-        results)
-    tests
+    (fun (name, f) ->
+      Printf.printf "%-36s %12.1f ns/run\n" name (H.per_call ~budget f *. 1e9))
+    cases
+
+(* ---------- smoke: tiny-n pass over every harness caller ---------- *)
+
+(* `dune build @bench-smoke` runs this: exercises every gated
+   experiment and `micro` end to end at sizes where each takes well
+   under a second, writes no files and judges no timing gates
+   (correctness asserts — differential checks, kernel parity, payload
+   and trace-signature identity, certification — still run). Catches
+   bit-rot in the bench harness itself without paying for a full
+   calibrated run. *)
+let smoke () =
+  exp_num ~mode:`Check ();
+  exp_obs ~mode:`Smoke ();
+  exp_dp ~mode:`Smoke ();
+  exp_registry ~mode:`Smoke ();
+  exp_campaign ~mode:`Smoke ();
+  exp_fuzz ~mode:`Smoke ();
+  micro ~budget:0.001 ()
 
 let experiments =
   [
@@ -1566,8 +1303,8 @@ let experiments =
     ("t3", exp_t3); ("t5", exp_t5); ("t6", exp_t6); ("t7", exp_t7);
     ("l56", exp_l56); ("mc", exp_mc); ("ext", exp_ext); ("bp", exp_bp);
     ("dc", exp_dc); ("fa", exp_fa); ("mr", exp_mr); ("ablation", exp_ablation);
-    ("campaign", exp_campaign); ("registry", fun () -> exp_registry ());
-    ("fuzz", exp_fuzz); ("num", fun () -> exp_num ());
+    ("campaign", fun () -> exp_campaign ()); ("registry", fun () -> exp_registry ());
+    ("fuzz", fun () -> exp_fuzz ()); ("num", fun () -> exp_num ());
     ("obs", fun () -> exp_obs ());
     ("dp", fun () -> exp_dp ());
   ]
@@ -1576,16 +1313,7 @@ let () =
   match Array.to_list Sys.argv with
   | _ :: "micro" :: _ -> micro ()
   | _ :: "smoke" :: _ -> smoke ()
-  | _ :: "num" :: rest ->
-    let mode =
-      match rest with
-      | "--check" :: _ -> `Check
-      | "--record-baseline" :: _ -> `Record
-      | _ -> `Run
-    in
-    exp_num ~mode ()
-  | _ :: "obs" :: _ -> exp_obs ()
-  | _ :: "dp" :: _ -> exp_dp ()
+  | _ :: "num" :: "--check" :: _ -> exp_num ~mode:`Check ()
   | _ :: id :: _ -> (
     match List.assoc_opt id experiments with
     | Some f -> f ()

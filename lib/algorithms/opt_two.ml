@@ -132,8 +132,12 @@ let cell_r tab idx =
   if q <> 0 then SR.to_rational tab.cells.(base + 1) q
   else Hashtbl.find tab.spill idx
 
-let run_dp instance =
-  check instance;
+(* The O(n1 n2) sweep, filling the tableau in diagonal order. It is a
+   top-level function rather than a closure handed to the span, so the
+   hot loop reads the tableau, [relax] and the requirement rows as
+   locals instead of through a closure environment (DESIGN §5g).
+   [level_hist] receives each level's expanded-cell count. *)
+let sweep instance level_hist =
   let n1 = Instance.n_i instance 0 and n2 = Instance.n_i instance 1 in
   let w = n2 + 1 in
   let size = (n1 + 1) * w in
@@ -180,13 +184,6 @@ let run_dp instance =
     if Q.is_small r then relax idx t (Q.small_num r) (Q.small_den r) Q.zero via
     else relax idx t 0 0 r via
   in
-  (* Per-level state counts feed a log-scale histogram when metrics are
-     on; the lookup happens once per solve, never per cell. *)
-  let level_hist =
-    if Crs_obs.Metrics.enabled () then
-      Some (Crs_obs.Metrics.histogram "opt_two.states_per_level")
-    else None
-  in
   let acc = SR.out () and m1 = SR.out () in
   (* lden <> 0 selects the common-denominator mode: remainder words
      hold numerators over lden, arithmetic is pure int add/compare
@@ -198,121 +195,134 @@ let run_dp instance =
     | Some (l, a, b) -> (l, a, b)
     | None -> (0, [||], [||])
   in
-  let dp () =
-    (* Start state: both first jobs active, r = their joint demand. *)
-    (if lden <> 0 then relax 0 0 (rn1.(0) + rn2.(0)) lden Q.zero start
-     else if
-       r1.reqq.(0) <> 0 && r2.reqq.(0) <> 0
-       && SR.add acc r1.reqp.(0) r1.reqq.(0) r2.reqp.(0) r2.reqq.(0)
-     then relax 0 0 acc.p acc.q Q.zero start
-     else relax_box 0 0 (Q.add r1.boxed.(0) r2.boxed.(0)) start);
-    (* Transitions raise i1+i2 by 1 or 2, so diagonal order finalizes
-       every state before it is expanded. *)
-    for level = 0 to n1 + n2 - 1 do
-      let level_cells = !cells in
-      for i1 = max 0 (level - n2) to min level n1 do
-        let i2 = level - i1 in
-        let idx = (i1 * w) + i2 in
-        let base = idx lsl 2 in
-        let tv = cells_a.(base) in
-        (* Fuel is charged per reachable cell: unreachable cells do no
-           work, so they no longer burn budget (tick counts changed at
-           the hoist; deterministic-timeout tests pin the new ones). *)
-        if tv >= 0 then begin
-          Crs_util.Fuel.tick ();
-          incr cells;
-          let t' = (tv asr 3) + 1 in
-          let cp = cells_a.(base + 1) and cq = cells_a.(base + 2) in
-          if i1 >= n1 && i2 < n2 then begin
-            (* Only processor 1 active: one job per step, leftover
-               wasted; the new remainder is just the fresh job's. *)
-            let k = i2 + 1 in
-            if lden <> 0 then relax (idx + 1) t' rn2.(k) lden Q.zero only_snd
-            else if r2.reqq.(k) <> 0 then
-              relax (idx + 1) t' r2.reqp.(k) r2.reqq.(k) Q.zero only_snd
-            else relax (idx + 1) t' 0 0 r2.boxed.(k) only_snd
+  (* Start state: both first jobs active, r = their joint demand. *)
+  (if lden <> 0 then relax 0 0 (rn1.(0) + rn2.(0)) lden Q.zero start
+   else if
+     r1.reqq.(0) <> 0 && r2.reqq.(0) <> 0
+     && SR.add acc r1.reqp.(0) r1.reqq.(0) r2.reqp.(0) r2.reqq.(0)
+   then relax 0 0 acc.p acc.q Q.zero start
+   else relax_box 0 0 (Q.add r1.boxed.(0) r2.boxed.(0)) start);
+  (* Transitions raise i1+i2 by 1 or 2, so diagonal order finalizes
+     every state before it is expanded. *)
+  for level = 0 to n1 + n2 - 1 do
+    let level_cells = !cells in
+    for i1 = max 0 (level - n2) to min level n1 do
+      let i2 = level - i1 in
+      let idx = (i1 * w) + i2 in
+      let base = idx lsl 2 in
+      let tv = cells_a.(base) in
+      (* Fuel is charged per reachable cell: unreachable cells do no
+         work, so they no longer burn budget (tick counts changed at
+         the hoist; deterministic-timeout tests pin the new ones). *)
+      if tv >= 0 then begin
+        Crs_util.Fuel.tick ();
+        incr cells;
+        let t' = (tv asr 3) + 1 in
+        let cp = cells_a.(base + 1) and cq = cells_a.(base + 2) in
+        if i1 >= n1 && i2 < n2 then begin
+          (* Only processor 1 active: one job per step, leftover
+             wasted; the new remainder is just the fresh job's. *)
+          let k = i2 + 1 in
+          if lden <> 0 then relax (idx + 1) t' rn2.(k) lden Q.zero only_snd
+          else if r2.reqq.(k) <> 0 then
+            relax (idx + 1) t' r2.reqp.(k) r2.reqq.(k) Q.zero only_snd
+          else relax (idx + 1) t' 0 0 r2.boxed.(k) only_snd
+        end
+        else if i2 >= n2 && i1 < n1 then begin
+          let k = i1 + 1 in
+          if lden <> 0 then relax (idx + w) t' rn1.(k) lden Q.zero only_fst
+          else if r1.reqq.(k) <> 0 then
+            relax (idx + w) t' r1.reqp.(k) r1.reqq.(k) Q.zero only_fst
+          else relax (idx + w) t' 0 0 r1.boxed.(k) only_fst
+        end
+        else if i1 < n1 && i2 < n2 then begin
+          let k1 = i1 + 1 and k2 = i2 + 1 in
+          if lden <> 0 then begin
+            (* Every reachable cell in this mode stores cq = lden;
+               the prefetch guard bounds numerator sums, so the int
+               arithmetic below cannot overflow. *)
+            if cp <= lden then
+              relax (idx + w + 1) t' (rn1.(k1) + rn2.(k2)) lden Q.zero
+                finish_both
+            else begin
+              let m = cp - lden in
+              relax (idx + w) t' (rn1.(k1) + m) lden Q.zero finish_fst;
+              relax (idx + 1) t' (m + rn2.(k2)) lden Q.zero finish_snd
+            end
           end
-          else if i2 >= n2 && i1 < n1 then begin
-            let k = i1 + 1 in
-            if lden <> 0 then relax (idx + w) t' rn1.(k) lden Q.zero only_fst
-            else if r1.reqq.(k) <> 0 then
-              relax (idx + w) t' r1.reqp.(k) r1.reqq.(k) Q.zero only_fst
-            else relax (idx + w) t' 0 0 r1.boxed.(k) only_fst
-          end
-          else if i1 < n1 && i2 < n2 then begin
-            let k1 = i1 + 1 and k2 = i2 + 1 in
-            if lden <> 0 then begin
-              (* Every reachable cell in this mode stores cq = lden;
-                 the prefetch guard bounds numerator sums, so the int
-                 arithmetic below cannot overflow. *)
-              if cp <= lden then
-                relax (idx + w + 1) t' (rn1.(k1) + rn2.(k2)) lden Q.zero
+          else begin
+            let r_le_one =
+              if cq <> 0 then SR.compare_one cp cq <= 0
+              else Q.(Hashtbl.find tab.spill idx <= one)
+            in
+            if r_le_one then begin
+              if r1.reqq.(k1) <> 0 && r2.reqq.(k2) <> 0
+                 && SR.add acc r1.reqp.(k1) r1.reqq.(k1) r2.reqp.(k2) r2.reqq.(k2)
+              then relax (idx + w + 1) t' acc.p acc.q Q.zero finish_both
+              else
+                relax_box (idx + w + 1) t'
+                  (Q.add r1.boxed.(k1) r2.boxed.(k2))
                   finish_both
-              else begin
-                let m = cp - lden in
-                relax (idx + w) t' (rn1.(k1) + m) lden Q.zero finish_fst;
-                relax (idx + 1) t' (m + rn2.(k2)) lden Q.zero finish_snd
-              end
             end
             else begin
-              let r_le_one =
-                if cq <> 0 then SR.compare_one cp cq <= 0
-                else Q.(Hashtbl.find tab.spill idx <= one)
-              in
-              if r_le_one then begin
-                if r1.reqq.(k1) <> 0 && r2.reqq.(k2) <> 0
-                   && SR.add acc r1.reqp.(k1) r1.reqq.(k1) r2.reqp.(k2) r2.reqq.(k2)
-                then relax (idx + w + 1) t' acc.p acc.q Q.zero finish_both
+              (* r > 1: finish one job (cost <= 1) and invest the
+                 leftover in the other, which stays active with
+                 remainder r - 1. *)
+              if cq <> 0 && SR.sub_one m1 cp cq then begin
+                (if r1.reqq.(k1) <> 0 && SR.add acc r1.reqp.(k1) r1.reqq.(k1) m1.p m1.q
+                 then relax (idx + w) t' acc.p acc.q Q.zero finish_fst
+                 else
+                   relax_box (idx + w) t'
+                     (Q.add r1.boxed.(k1) (SR.to_rational m1.p m1.q))
+                     finish_fst);
+                if r2.reqq.(k2) <> 0 && SR.add acc m1.p m1.q r2.reqp.(k2) r2.reqq.(k2)
+                then relax (idx + 1) t' acc.p acc.q Q.zero finish_snd
                 else
-                  relax_box (idx + w + 1) t'
-                    (Q.add r1.boxed.(k1) r2.boxed.(k2))
-                    finish_both
+                  relax_box (idx + 1) t'
+                    (Q.add (SR.to_rational m1.p m1.q) r2.boxed.(k2))
+                    finish_snd
               end
               else begin
-                (* r > 1: finish one job (cost <= 1) and invest the
-                   leftover in the other, which stays active with
-                   remainder r - 1. *)
-                if cq <> 0 && SR.sub_one m1 cp cq then begin
-                  (if r1.reqq.(k1) <> 0 && SR.add acc r1.reqp.(k1) r1.reqq.(k1) m1.p m1.q
-                   then relax (idx + w) t' acc.p acc.q Q.zero finish_fst
-                   else
-                     relax_box (idx + w) t'
-                       (Q.add r1.boxed.(k1) (SR.to_rational m1.p m1.q))
-                       finish_fst);
-                  if r2.reqq.(k2) <> 0 && SR.add acc m1.p m1.q r2.reqp.(k2) r2.reqq.(k2)
-                  then relax (idx + 1) t' acc.p acc.q Q.zero finish_snd
-                  else
-                    relax_box (idx + 1) t'
-                      (Q.add (SR.to_rational m1.p m1.q) r2.boxed.(k2))
-                      finish_snd
-                end
-                else begin
-                  let rm1 = Q.sub (cell_r tab idx) Q.one in
-                  relax_box (idx + w) t' (Q.add r1.boxed.(k1) rm1) finish_fst;
-                  relax_box (idx + 1) t' (Q.add rm1 r2.boxed.(k2)) finish_snd
-                end
+                let rm1 = Q.sub (cell_r tab idx) Q.one in
+                relax_box (idx + w) t' (Q.add r1.boxed.(k1) rm1) finish_fst;
+                relax_box (idx + 1) t' (Q.add rm1 r2.boxed.(k2)) finish_snd
               end
             end
           end
         end
-      done;
-      match level_hist with
-      | Some h -> Crs_obs.Metrics.observe h (!cells - level_cells)
-      | None -> ()
-    done
+      end
+    done;
+    match level_hist with
+    | Some h -> Crs_obs.Metrics.observe h (!cells - level_cells)
+    | None -> ()
+  done;
+  (tab, r1, r2, { cells_expanded = !cells; relaxations = !relaxes })
+
+let run_dp instance =
+  check instance;
+  (* Per-level state counts feed a log-scale histogram when metrics are
+     on; the lookup happens once per solve, never per cell. *)
+  let level_hist =
+    if Crs_obs.Metrics.enabled () then
+      Some (Crs_obs.Metrics.histogram "opt_two.states_per_level")
+    else None
   in
   Crs_obs.Trace.with_span_l
-    (fun () -> [ ("n1", Crs_obs.Trace.Int n1); ("n2", Crs_obs.Trace.Int n2) ])
+    (fun () ->
+      [
+        ("n1", Crs_obs.Trace.Int (Instance.n_i instance 0));
+        ("n2", Crs_obs.Trace.Int (Instance.n_i instance 1));
+      ])
     "opt_two.dp"
     (fun () ->
-      dp ();
+      let ((_, _, _, c) as result) = sweep instance level_hist in
       if Crs_obs.Trace.enabled () then
         Crs_obs.Trace.add_attrs
           [
-            ("cells_expanded", Crs_obs.Trace.Int !cells);
-            ("relaxations", Crs_obs.Trace.Int !relaxes);
-          ]);
-  (tab, r1, r2, { cells_expanded = !cells; relaxations = !relaxes })
+            ("cells_expanded", Crs_obs.Trace.Int c.cells_expanded);
+            ("relaxations", Crs_obs.Trace.Int c.relaxations);
+          ];
+      result)
 
 let makespan instance =
   let tab, _, _, _ = run_dp instance in

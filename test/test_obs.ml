@@ -240,30 +240,70 @@ let test_campaign_trace_deterministic () =
   Alcotest.(check string) "1 vs 3 domains" s1 s3
 
 let test_solver_root_span_counters () =
-  traced (fun () ->
-      metered (fun () ->
-          let inst = Crs_generators.Adversarial.round_robin_family ~n:5 in
-          let solver =
-            Crs_algorithms.Registry.find_exn Crs_algorithms.Registry.Names.opt_two
-          in
-          ignore (Crs_algorithms.Registry.solve solver inst);
-          (* Root span carries the makespan and counter deltas. *)
-          let root =
-            match Trace.forest () with
-            | [ t ] -> t
-            | l -> Alcotest.failf "expected 1 root, got %d" (List.length l)
-          in
-          Alcotest.(check string) "root name" "registry.solve"
-            root.Trace.span.Trace.name;
-          Alcotest.(check bool) "makespan attr" true
-            (List.mem_assoc "makespan" root.Trace.span.Trace.attrs);
-          Alcotest.(check bool) "dp phase child present" true
-            (List.exists
-               (fun (c : Trace.tree) -> c.Trace.span.Trace.name = "opt_two.dp")
-               root.Trace.children);
-          (* Counters exported under solver.<name>.*. *)
-          Alcotest.(check int) "solve counted" 1
-            (Metrics.counter_value (Metrics.counter "solver.opt-two.solves"))))
+  (* Figure-3 sizes with the DP work each costs: cells expanded and
+     relaxations. *)
+  List.iter
+    (fun (n, cells, relaxations) ->
+      traced (fun () ->
+          metered (fun () ->
+              let inst = Crs_generators.Adversarial.round_robin_family ~n in
+              let solver =
+                Crs_algorithms.Registry.find_exn Crs_algorithms.Registry.Names.opt_two
+              in
+              let out = Crs_algorithms.Registry.solve solver inst in
+              (* Root span carries the makespan and counter deltas. *)
+              let root =
+                match Trace.forest () with
+                | [ t ] -> t
+                | l -> Alcotest.failf "expected 1 root, got %d" (List.length l)
+              in
+              Alcotest.(check string) "root name" "registry.solve"
+                root.Trace.span.Trace.name;
+              Alcotest.(check bool) "makespan attr" true
+                (List.mem_assoc "makespan" root.Trace.span.Trace.attrs);
+              let dp =
+                match
+                  List.find_opt
+                    (fun (c : Trace.tree) -> c.Trace.span.Trace.name = "opt_two.dp")
+                    root.Trace.children
+                with
+                | Some c -> c.Trace.span
+                | None -> Alcotest.fail "dp phase child missing"
+              in
+              (* The DP span's work attributes are the registry's counters. *)
+              let attr k =
+                match List.assoc_opt k dp.Trace.attrs with
+                | Some (Trace.Int v) -> v
+                | _ -> Alcotest.failf "opt_two.dp has no int %s" k
+              in
+              let c = out.Crs_algorithms.Registry.counters in
+              Alcotest.(check int) "dp cells_expanded = states_expanded"
+                c.Crs_algorithms.Registry.Counters.states_expanded
+                (attr "cells_expanded");
+              Alcotest.(check int) "dp relaxations = dp_relaxations"
+                c.Crs_algorithms.Registry.Counters.dp_relaxations (attr "relaxations");
+              Alcotest.(check (pair int int)) "cells, relaxations" (cells, relaxations)
+                (attr "cells_expanded", attr "relaxations");
+              (* One histogram observation per DP level, summing to the
+                 cells expanded. *)
+              let hist =
+                match
+                  Option.bind
+                    (J.member "histograms" (parse_exn "snapshot" (Metrics.snapshot ())))
+                    (J.member "opt_two.states_per_level")
+                with
+                | Some h -> h
+                | None -> Alcotest.fail "opt_two.states_per_level missing"
+              in
+              (match (J.member "count" hist, J.member "sum" hist) with
+              | Some (J.Int count), Some (J.Int sum) ->
+                Alcotest.(check int) "one observation per level" (2 * n) count;
+                Alcotest.(check int) "levels sum to cells_expanded" cells sum
+              | _ -> Alcotest.fail "histogram count/sum missing");
+              (* Counters exported under solver.<name>.*. *)
+              Alcotest.(check int) "solve counted" 1
+                (Metrics.counter_value (Metrics.counter "solver.opt-two.solves")))))
+    [ (5, 20, 27); (40, 411, 586) ]
 
 let test_fuzz_spans () =
   traced (fun () ->
