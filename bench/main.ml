@@ -938,6 +938,29 @@ let exp_num ?(mode = `Run) () =
       (Crs_num.Check.describe outcome) dt;
     if not (Crs_num.Check.ok outcome) || dt >= 1.0 then exit 1
   | `Run ->
+    (* The baseline is read before anything is measured, so a run from
+       the wrong directory fails at once instead of after the timing. *)
+    let module J = Crs_util.Stable_json in
+    let baseline =
+      match In_channel.with_open_text num_baseline_path In_channel.input_all with
+      | exception Sys_error msg ->
+        Printf.eprintf
+          "bench num: cannot read the baseline (%s); run it from the repository \
+           root, where %s resolves\n"
+          msg num_baseline_path;
+        exit 1
+      | text -> (
+        match J.parse text with
+        | Ok b -> b
+        | Error e -> failwith (num_baseline_path ^ ": " ^ e))
+    in
+    let field key =
+      match J.member key baseline with
+      | Some (J.Float v) -> v
+      | Some (J.Int v) -> float_of_int v
+      | _ -> failwith (Printf.sprintf "%s: missing %s" num_baseline_path key)
+    in
+    let b_opt_two = field "opt_two_s" and b_brute = field "brute_s" in
     (* The per-op loops run on paper-style operands: requirement-sized
        fractions with denominators <= 12, i.e. the small tier once the
        two-tier representation lands. *)
@@ -987,19 +1010,6 @@ let exp_num ?(mode = `Run) () =
       opt_two_n opt_two_s brute_n brute_s;
     let outcome = Crs_num.Check.run ~ops:10_000 ~seed:2024 () in
     Printf.printf "differential check: %s\n" (Crs_num.Check.describe outcome);
-    let module J = Crs_util.Stable_json in
-    let baseline =
-      match J.parse (In_channel.with_open_text num_baseline_path In_channel.input_all) with
-      | Ok b -> b
-      | Error e -> failwith (num_baseline_path ^ ": " ^ e)
-    in
-    let field key =
-      match J.member key baseline with
-      | Some (J.Float v) -> v
-      | Some (J.Int v) -> float_of_int v
-      | _ -> failwith (Printf.sprintf "%s: missing %s" num_baseline_path key)
-    in
-    let b_opt_two = field "opt_two_s" and b_brute = field "brute_s" in
     let opt_two_speedup = b_opt_two /. Float.max opt_two_s 1e-9 in
     let brute_speedup = b_brute /. Float.max brute_s 1e-9 in
     let gate = 2.0 in

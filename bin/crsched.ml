@@ -41,17 +41,28 @@ let algo_arg =
     & opt algo_conv (Registry.find_exn Registry.Names.greedy_balance)
     & info [ "a"; "algorithm" ] ~docv:"ALGO" ~doc)
 
+let fail msg =
+  Printf.eprintf "error: %s\n" msg;
+  exit 1
+
 (* Dispatch through the registry with the capability check surfaced as a
    clean CLI error instead of an exception trace. *)
+let solve_or_exit solver instance =
+  match Registry.run solver instance with
+  | Ok out -> out
+  | Error (Registry.Inapplicable reason) -> fail reason
+  | Error (Registry.Timeout _) -> assert false (* no budget without ~fuel *)
+
 let schedule_of solver instance =
-  (match Registry.applicability solver instance with
-  | Ok () -> ()
-  | Error reason ->
-    Printf.eprintf "error: %s\n" reason;
-    exit 1);
-  match (Registry.solve solver instance).Registry.schedule with
+  match (solve_or_exit solver instance).Registry.schedule with
   | Some schedule -> schedule
   | None -> assert false (* witnessed solvers only *)
+
+(* The hypergraph bounds (Section 3.2) and Lemma 1's transformation are
+   defined for unit-size jobs only; commands built on them say so. *)
+let require_unit_size command instance =
+  if not (Instance.is_unit_size instance) then
+    fail (command ^ " requires unit-size jobs")
 
 (* ---- algorithms ---- *)
 
@@ -211,20 +222,21 @@ let compare_cmd =
            instance)
     end
     else begin
+    require_unit_size "compare" instance;
     let lb = Crs_algorithms.Solver.certified_lower_bound instance in
     let opt = if exact then Some (Crs_algorithms.Solver.optimal_makespan instance) else None in
     let skipped = ref [] in
     let rows =
       List.filter_map
         (fun name ->
-          let solver = Registry.find_exn name in
-          match Registry.applicability solver instance with
-          | Error reason ->
+          match Registry.run (Registry.find_exn name) instance with
+          | Error (Registry.Inapplicable reason) ->
             skipped := (name, reason) :: !skipped;
             None
-          | Ok () ->
+          | Error (Registry.Timeout _) -> assert false (* no budget without ~fuel *)
+          | Ok out ->
             let schedule =
-              match (Registry.solve solver instance).Registry.schedule with
+              match out.Registry.schedule with
               | Some s -> s
               | None -> assert false (* default_names are witnessed *)
             in
@@ -628,6 +640,7 @@ let graph_cmd =
   in
   let run path solver output =
     let instance = read_instance path in
+    require_unit_size "graph" instance;
     let trace = Execution.run_exn instance (schedule_of solver instance) in
     let graph = Crs_hypergraph.Sched_graph.of_trace trace in
     Format.printf "%a@." Crs_hypergraph.Sched_graph.pp graph;
@@ -646,6 +659,7 @@ let graph_cmd =
 let normalize_cmd =
   let run path solver =
     let instance = read_instance path in
+    require_unit_size "normalize" instance;
     let schedule = schedule_of solver instance in
     let normalized = Transform.normalize instance schedule in
     let before = Execution.run_exn instance schedule in
@@ -721,9 +735,13 @@ let verify_cmd =
             | Error v ->
               Format.printf "  %-12s VIOLATED (%a)@." name Properties.pp_violation v)
           (Properties.check_all trace);
-        let lb = Crs_algorithms.Solver.certified_lower_bound instance in
-        Printf.printf "certified lower bound %d => ratio at most %.3f\n" lb
-          (float_of_int (Execution.makespan trace) /. float_of_int (max 1 lb)))
+        if Instance.is_unit_size instance then
+          let lb = Crs_algorithms.Solver.certified_lower_bound instance in
+          Printf.printf "certified lower bound %d => ratio at most %.3f\n" lb
+            (float_of_int (Execution.makespan trace) /. float_of_int (max 1 lb))
+        else
+          print_endline
+            "certified lower bound: not computed (defined for unit-size jobs only)")
   in
   Cmd.v
     (Cmd.info "verify" ~doc:"Validate an external schedule against an instance.")
@@ -734,6 +752,7 @@ let verify_cmd =
 let bounds_cmd =
   let run path =
     let instance = read_instance path in
+    require_unit_size "bounds" instance;
     let gb_trace =
       Execution.run_exn instance (Crs_algorithms.Greedy_balance.schedule instance)
     in
@@ -935,14 +954,10 @@ let write_trace ~jsonl path =
 let trace_solve_cmd =
   let run path solver out jsonl =
     let instance = read_instance path in
-    (match Registry.applicability solver instance with
-    | Ok () -> ()
-    | Error reason ->
-      Printf.eprintf "error: %s\n" reason;
-      exit 1);
     Crs_obs.Trace.set_enabled true;
     Crs_obs.Metrics.set_enabled true;
-    let result = Registry.solve solver instance in
+    (* An inapplicable instance exits before any span opens. *)
+    let result = solve_or_exit solver instance in
     Crs_obs.Trace.set_enabled false;
     Crs_obs.Metrics.set_enabled false;
     Printf.printf "%s makespan: %d\n\nspan tree:\n%s\n" (Registry.name solver)

@@ -82,156 +82,112 @@ end
 
 type solver = (module SOLVER)
 
-let any_m = { min_m = 1; max_m = None; unit_size_only = false; fuel_aware = false }
+type failure = Inapplicable of string | Timeout of int
 
-(* A step policy run to completion: witness schedule, no native
-   counters (Fuel delta covers nothing — policies don't tick). *)
-let of_policy ~name:n ~kind:k ~about:a policy : solver =
+let make ~name:n ~kind:k ~about:a ~requires:r ~witness:w f : solver =
   (module struct
     let name = n
     let kind = k
     let about = a
-    let requires = any_m
-    let witness = true
-
-    let solve instance =
-      let schedule = Policy.run policy instance in
-      let makespan = Execution.makespan (Execution.run_exn instance schedule) in
-      { makespan; schedule = Some schedule; counters = Counters.zero }
+    let requires = r
+    let witness = w
+    let solve = f
   end)
 
-module Optimal : SOLVER = struct
-  let name = Names.optimal
-  let kind = Exact
-  let about = "best exact solver for the instance (Opt_two if m = 2, else Opt_config)"
-  let requires = { min_m = 1; max_m = None; unit_size_only = true; fuel_aware = true }
-  let witness = true
+(* A step policy run to completion: witness schedule, no native
+   counters (Fuel delta covers nothing — policies don't tick). *)
+let of_policy (name, kind, about, policy) =
+  make ~name ~kind ~about
+    ~requires:{ min_m = 1; max_m = None; unit_size_only = false; fuel_aware = false }
+    ~witness:true (fun instance ->
+      let schedule = Policy.run policy instance in
+      let makespan = Execution.makespan (Execution.run_exn instance schedule) in
+      { makespan; schedule = Some schedule; counters = Counters.zero })
 
-  let solve instance =
-    if Instance.m instance = 2 then begin
-      let sol = Opt_two.solve instance in
+(* Every exact solver needs unit-size jobs and ticks fuel; they differ
+   in the processor counts they accept, whether they build a witness,
+   and how their native counters map onto {!Counters}. *)
+let exact ~name ~about ?max_m ~min_m ~witness f =
+  make ~name ~kind:Exact ~about
+    ~requires:{ min_m; max_m; unit_size_only = true; fuel_aware = true }
+    ~witness f
+
+let opt_two instance =
+  let sol = Opt_two.solve instance in
+  {
+    makespan = sol.Opt_two.makespan;
+    schedule = Some sol.Opt_two.schedule;
+    counters =
       {
-        makespan = sol.Opt_two.makespan;
-        schedule = Some sol.Opt_two.schedule;
-        counters =
-          {
-            Counters.zero with
-            states_expanded = sol.Opt_two.counters.Opt_two.cells_expanded;
-            dp_relaxations = sol.Opt_two.counters.Opt_two.relaxations;
-          };
-      }
-    end
-    else begin
-      let sol = Opt_config.solve instance in
+        Counters.zero with
+        states_expanded = sol.Opt_two.counters.Opt_two.cells_expanded;
+        dp_relaxations = sol.Opt_two.counters.Opt_two.relaxations;
+      };
+  }
+
+let opt_config instance =
+  let sol = Opt_config.solve instance in
+  {
+    makespan = sol.Opt_config.makespan;
+    schedule = Some sol.Opt_config.schedule;
+    counters =
       {
-        makespan = sol.Opt_config.makespan;
-        schedule = Some sol.Opt_config.schedule;
-        counters =
-          {
-            Counters.zero with
-            states_expanded = List.fold_left ( + ) 0 sol.Opt_config.stats.Opt_config.layers;
-            configs_enumerated = sol.Opt_config.stats.Opt_config.generated;
-          };
-      }
-    end
-end
+        Counters.zero with
+        states_expanded = List.fold_left ( + ) 0 sol.Opt_config.stats.Opt_config.layers;
+        configs_enumerated = sol.Opt_config.stats.Opt_config.generated;
+      };
+  }
 
-module Opt_two_solver : SOLVER = struct
-  let name = Names.opt_two
-  let kind = Exact
-  let about = "O(n^2) dynamic program for two processors (paper, Algorithm 1)"
-  let requires = { min_m = 2; max_m = Some 2; unit_size_only = true; fuel_aware = true }
-  let witness = true
-
-  let solve instance =
-    let sol = Opt_two.solve instance in
-    {
-      makespan = sol.Opt_two.makespan;
-      schedule = Some sol.Opt_two.schedule;
-      counters =
+let exact_table =
+  [
+    exact ~name:Names.optimal
+      ~about:"best exact solver for the instance (Opt_two if m = 2, else Opt_config)"
+      ~min_m:1 ~witness:true (fun instance ->
+        if Instance.m instance = 2 then opt_two instance else opt_config instance);
+    exact ~name:Names.opt_two
+      ~about:"O(n^2) dynamic program for two processors (paper, Algorithm 1)"
+      ~min_m:2 ~max_m:2 ~witness:true opt_two;
+    exact ~name:Names.opt_two_pq
+      ~about:"priority-queue variant of opt-two; expands only reachable states"
+      ~min_m:2 ~max_m:2 ~witness:false (fun instance ->
+        let stats = Opt_two_pq.run instance in
         {
-          Counters.zero with
-          states_expanded = sol.Opt_two.counters.Opt_two.cells_expanded;
-          dp_relaxations = sol.Opt_two.counters.Opt_two.relaxations;
-        };
-    }
-end
-
-module Opt_two_pq_solver : SOLVER = struct
-  let name = Names.opt_two_pq
-  let kind = Exact
-  let about = "priority-queue variant of opt-two; expands only reachable states"
-  let requires = { min_m = 2; max_m = Some 2; unit_size_only = true; fuel_aware = true }
-  let witness = false
-
-  let solve instance =
-    let stats = Opt_two_pq.run instance in
-    {
-      makespan = stats.Opt_two_pq.makespan;
-      schedule = None;
-      counters =
+          makespan = stats.Opt_two_pq.makespan;
+          schedule = None;
+          counters =
+            {
+              Counters.zero with
+              states_expanded = stats.Opt_two_pq.expanded;
+              dp_relaxations = stats.Opt_two_pq.relaxations;
+            };
+        });
+    exact ~name:Names.opt_two_pareto
+      ~about:"Pareto-frontier DP auditing Lemma 3's sufficient statistic"
+      ~min_m:2 ~max_m:2 ~witness:false (fun instance ->
         {
-          Counters.zero with
-          states_expanded = stats.Opt_two_pq.expanded;
-          dp_relaxations = stats.Opt_two_pq.relaxations;
-        };
-    }
-end
-
-module Opt_two_pareto_solver : SOLVER = struct
-  let name = Names.opt_two_pareto
-  let kind = Exact
-  let about = "Pareto-frontier DP auditing Lemma 3's sufficient statistic"
-  let requires = { min_m = 2; max_m = Some 2; unit_size_only = true; fuel_aware = true }
-  let witness = false
-
-  let solve instance =
-    let makespan = Opt_two_pareto.makespan instance in
-    { makespan; schedule = None; counters = Counters.zero }
-end
-
-module Opt_config_solver : SOLVER = struct
-  let name = Names.opt_config
-  let kind = Exact
-  let about = "layered configuration enumeration for any m (paper, Algorithm 2)"
-  let requires = { min_m = 1; max_m = None; unit_size_only = true; fuel_aware = true }
-  let witness = true
-
-  let solve instance =
-    let sol = Opt_config.solve instance in
-    {
-      makespan = sol.Opt_config.makespan;
-      schedule = Some sol.Opt_config.schedule;
-      counters =
+          makespan = Opt_two_pareto.makespan instance;
+          schedule = None;
+          counters = Counters.zero;
+        });
+    exact ~name:Names.opt_config
+      ~about:"layered configuration enumeration for any m (paper, Algorithm 2)"
+      ~min_m:1 ~witness:true opt_config;
+    exact ~name:Names.brute_force
+      ~about:"reference DFS branch-and-bound; exponential, tiny instances only"
+      ~min_m:1 ~witness:false (fun instance ->
+        let makespan, c = Brute_force.solve instance in
         {
-          Counters.zero with
-          states_expanded = List.fold_left ( + ) 0 sol.Opt_config.stats.Opt_config.layers;
-          configs_enumerated = sol.Opt_config.stats.Opt_config.generated;
-        };
-    }
-end
-
-module Brute_force_solver : SOLVER = struct
-  let name = Names.brute_force
-  let kind = Exact
-  let about = "reference DFS branch-and-bound; exponential, tiny instances only"
-  let requires = { min_m = 1; max_m = None; unit_size_only = true; fuel_aware = true }
-  let witness = false
-
-  let solve instance =
-    let makespan, c = Brute_force.solve instance in
-    {
-      makespan;
-      schedule = None;
-      counters =
-        {
-          Counters.zero with
-          states_expanded = c.Brute_force.visited;
-          memo_hits = c.Brute_force.memo_hits;
-          memo_misses = c.Brute_force.memo_misses;
-        };
-    }
-end
+          makespan;
+          schedule = None;
+          counters =
+            {
+              Counters.zero with
+              states_expanded = c.Brute_force.visited;
+              memo_hits = c.Brute_force.memo_hits;
+              memo_misses = c.Brute_force.memo_misses;
+            };
+        });
+  ]
 
 let policy_table =
   [
@@ -269,29 +225,17 @@ let policy_table =
 let online_table =
   [
     ( Names.online_greedy_balance,
+      Online,
       "GreedyBalance through the semi-online view interface",
-      Crs_core.Online.greedy_balance );
+      Crs_core.Online.(to_policy greedy_balance) );
     ( Names.online_round_robin,
+      Online,
       "RoundRobin through the semi-online view interface",
-      Crs_core.Online.round_robin );
+      Crs_core.Online.(to_policy round_robin) );
   ]
 
 let all : solver list =
-  List.map
-    (fun (n, k, a, p) -> of_policy ~name:n ~kind:k ~about:a p)
-    policy_table
-  @ [ (module Optimal : SOLVER) ]
-  @ [
-      (module Opt_two_solver : SOLVER);
-      (module Opt_two_pq_solver : SOLVER);
-      (module Opt_two_pareto_solver : SOLVER);
-      (module Opt_config_solver : SOLVER);
-      (module Brute_force_solver : SOLVER);
-    ]
-  @ List.map
-      (fun (n, a, online) ->
-        of_policy ~name:n ~kind:Online ~about:a (Crs_core.Online.to_policy online))
-      online_table
+  List.map of_policy policy_table @ exact_table @ List.map of_policy online_table
 
 let name (solver : solver) =
   let module S = (val solver) in
@@ -349,61 +293,75 @@ let certifier :
 
 let install_certifier f = certifier := Some f
 
-let solve ?(certify = false) solver instance =
-  (match applicability solver instance with
-  | Ok () -> ()
-  | Error reason -> invalid_arg ("Registry.solve: " ^ reason));
-  let module S = (val solver : SOLVER) in
-  let metered () =
+let run ?fuel ?(certify = false) solver instance =
+  match applicability solver instance with
+  | Error reason -> Error (Inapplicable reason)
+  | Ok () -> (
+    let module S = (val solver : SOLVER) in
     let before = Crs_util.Fuel.ticks () in
-    let out = S.solve instance in
-    let spent = Crs_util.Fuel.ticks () - before in
-    { out with counters = { out.counters with Counters.fuel_ticks = spent } }
-  in
-  (* Root span per solve; counters become attributes at close so traces
-     carry the same numbers as campaign JSONL. All deterministic (fuel,
-     not wall time), so span signatures stay pool-size independent. *)
-  let out =
-    if Crs_obs.Trace.enabled () then
-      Crs_obs.Trace.with_span
-        ~attrs:[ ("algorithm", Crs_obs.Trace.Str S.name) ]
-        "registry.solve"
-        (fun () ->
-          let out = metered () in
-          Crs_obs.Trace.add_attrs
-            (("makespan", Crs_obs.Trace.Int out.makespan)
-            :: List.map
-                 (fun (k, v) -> (k, Crs_obs.Trace.Int v))
-                 (Counters.to_assoc out.counters));
-          out)
-    else metered ()
-  in
-  if Crs_obs.Metrics.enabled () then
-    List.iter
-      (fun (k, v) ->
-        Crs_obs.Metrics.add
-          (Crs_obs.Metrics.counter (Printf.sprintf "solver.%s.%s" S.name k))
-          v)
-      (("solves", 1) :: Counters.to_assoc out.counters);
-  if certify then begin
-    match out.schedule with
-    | None -> () (* makespan-only solver: nothing to audit *)
-    | Some schedule -> (
-      match !certifier with
-      | None ->
-        failwith
-          "Registry.solve: certify requested but no certifier installed \
-           (link Crs_fuzz.Certify)"
-      | Some audit -> (
-        match audit instance schedule ~claimed:out.makespan with
-        | Ok () -> ()
-        | Error msg ->
-          failwith
-            (Printf.sprintf "Registry.solve: %s failed certification: %s" S.name
-               msg)))
-  end;
-  out
+    let metered () =
+      let out = S.solve instance in
+      let spent = Crs_util.Fuel.ticks () - before in
+      { out with counters = { out.counters with Counters.fuel_ticks = spent } }
+    in
+    (* Root span per solve, inside the budget so a timed-out span records
+       the Out_of_fuel; counters become attributes at close so traces
+       carry the same numbers as campaign JSONL. All deterministic (fuel,
+       not wall time), so span signatures stay pool-size independent. *)
+    let traced () =
+      if Crs_obs.Trace.enabled () then
+        Crs_obs.Trace.with_span
+          ~attrs:[ ("algorithm", Crs_obs.Trace.Str S.name) ]
+          "registry.solve"
+          (fun () ->
+            let out = metered () in
+            Crs_obs.Trace.add_attrs
+              (("makespan", Crs_obs.Trace.Int out.makespan)
+              :: List.map
+                   (fun (k, v) -> (k, Crs_obs.Trace.Int v))
+                   (Counters.to_assoc out.counters));
+            out)
+      else metered ()
+    in
+    (* Without [~fuel] no budget is set here, so an enclosing one still
+       raises Out_of_fuel to its owner. *)
+    match
+      match fuel with
+      | None -> traced ()
+      | Some _ -> Crs_util.Fuel.with_fuel fuel traced
+    with
+    | exception Crs_util.Fuel.Out_of_fuel when Option.is_some fuel ->
+      Error (Timeout (Crs_util.Fuel.ticks () - before))
+    | out ->
+      if Crs_obs.Metrics.enabled () then
+        List.iter
+          (fun (k, v) ->
+            Crs_obs.Metrics.add
+              (Crs_obs.Metrics.counter (Printf.sprintf "solver.%s.%s" S.name k))
+              v)
+          (("solves", 1) :: Counters.to_assoc out.counters);
+      (if certify then
+         match out.schedule with
+         | None -> () (* makespan-only solver: nothing to audit *)
+         | Some schedule -> (
+           match !certifier with
+           | None ->
+             failwith
+               "Registry.run: certify requested but no certifier installed \
+                (link Crs_fuzz.Certify)"
+           | Some audit -> (
+             match audit instance schedule ~claimed:out.makespan with
+             | Ok () -> ()
+             | Error msg ->
+               failwith
+                 (Printf.sprintf "Registry.run: %s failed certification: %s"
+                    S.name msg))));
+      Ok out)
 
-let policies =
-  List.map (fun (n, _, _, p) -> (n, p)) policy_table
-  @ List.map (fun (n, _, o) -> (n, Crs_core.Online.to_policy o)) online_table
+let solve ?certify solver instance =
+  match run ?certify solver instance with
+  | Ok out -> out
+  | Error (Inapplicable reason) -> invalid_arg ("Registry.solve: " ^ reason)
+  | Error (Timeout _) -> assert false (* no budget without [~fuel] *)
+
+let policies = List.map (fun (n, _, _, p) -> (n, p)) (policy_table @ online_table)

@@ -9,11 +9,12 @@
     structured work counters ({!Counters.t}).
 
     The registry is the single source of truth for algorithm name
-    strings: the CLI derives its [--algorithm] enums from {!names}, the
-    campaign runner filters by {!applicability} (an exact solver swept
-    over an [m = 3] family reports [not_applicable] instead of
-    crashing), and the benches look solvers up by name instead of
-    hard-wiring [Crs_algorithms.*] call sites. *)
+    strings and for how a solve is metered: the CLI derives its
+    [--algorithm] enums from {!names}, and every caller — the CLI, the
+    campaign runner, the server, the fuzz oracles — solves through
+    {!run}, which owns the capability check (an exact solver swept over
+    an [m = 3] family reports [not_applicable] instead of crashing) and
+    the fuel budget with its timeout. *)
 
 (** Canonical name constants — the only place these strings are
     defined. Everything else ([Spec], the CLI, the benches, the
@@ -38,7 +39,7 @@ module Names : sig
 end
 
 (** Uniform work counters. Each solver fills the fields it can measure
-    natively; {!solve} additionally meters [fuel_ticks] as the
+    natively; {!run} additionally meters [fuel_ticks] as the
     {!Crs_util.Fuel.ticks} delta across the run, so every fuel-aware
     solver gets a comparable work figure even when its native counters
     differ in meaning. *)
@@ -99,6 +100,15 @@ end
 
 type solver = (module SOLVER)
 
+(** Why {!run} returned no outcome. *)
+type failure =
+  | Inapplicable of string
+      (** the instance fails the solver's {!requires}; the sentence says
+          which bound. No solve ran and no fuel was spent. *)
+  | Timeout of int
+      (** the [~fuel] budget ran out; carries the ticks spent, which is
+          the budget + 1 (the overrunning tick is counted) *)
+
 val all : solver list
 (** Every registered solver. The first nine entries keep the historical
     campaign-table order (heuristics then ["optimal"]); the exact
@@ -123,17 +133,32 @@ val applicability : solver -> Crs_core.Instance.t -> (unit, string) result
 (** [Ok ()] when the instance satisfies the solver's {!requires};
     otherwise [Error reason] with a human-readable sentence. *)
 
-val solve : ?certify:bool -> solver -> Crs_core.Instance.t -> outcome
-(** Checked dispatch: verifies {!applicability}, runs the solver, and
-    fills [counters.fuel_ticks] with the {!Crs_util.Fuel.ticks} delta.
-    With [~certify:true], a witness outcome is additionally audited by
-    the installed independent certifier (see {!install_certifier}):
-    feasibility, job order, completion, and the claimed makespan are
-    re-derived from the schedule alone. Makespan-only outcomes are
-    passed through unaudited.
-    @raise Invalid_argument when the instance is not applicable.
+val run :
+  ?fuel:int ->
+  ?certify:bool ->
+  solver ->
+  Crs_core.Instance.t ->
+  (outcome, failure) result
+(** The one metered solve: checks {!applicability}, runs the solver
+    under a {!Crs_util.Fuel} budget of [fuel] ticks, and fills
+    [counters.fuel_ticks] with the {!Crs_util.Fuel.ticks} delta. The
+    budget encloses the [registry.solve] trace span. Without [~fuel] no
+    budget of its own is set: an enclosing {!Crs_util.Fuel.with_fuel}
+    still raises {!Crs_util.Fuel.Out_of_fuel} to its owner, and
+    [Timeout] is never returned. With [~certify:true], a witness outcome
+    is additionally audited by the installed independent certifier (see
+    {!install_certifier}): feasibility, job order, completion, and the
+    claimed makespan are re-derived from the schedule alone.
+    Makespan-only outcomes are passed through unaudited.
     @raise Failure when certification fails, or when [~certify:true] is
-    requested with no certifier installed. *)
+    requested with no certifier installed. Exceptions of the solver
+    itself propagate. *)
+
+val solve : ?certify:bool -> solver -> Crs_core.Instance.t -> outcome
+(** {!run} without a budget, for callers that have already ruled out
+    inapplicable instances.
+    @raise Invalid_argument ["Registry.solve: <reason>"] when the
+    instance is not applicable. *)
 
 val install_certifier :
   (Crs_core.Instance.t ->
@@ -141,7 +166,7 @@ val install_certifier :
   claimed:int ->
   (unit, string) result) ->
   unit
-(** Install the post-pass used by [solve ~certify:true]. The certifier
+(** Install the post-pass used by [run ~certify:true]. The certifier
     itself lives in [crs_fuzz] (which depends on this library), so it is
     injected here rather than referenced directly; linking
     [Crs_fuzz.Certify] installs the real one. *)

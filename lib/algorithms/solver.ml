@@ -5,26 +5,8 @@ open Crs_core
    solver answers a query; all dispatch and instrumentation lives in the
    registry itself. *)
 
-type exact_method = Dp_two | Config_enum | Dfs_bnb
-
-let solver_of_method = function
-  | Dp_two -> Registry.Names.opt_two
-  | Config_enum -> Registry.Names.opt_config
-  | Dfs_bnb -> Registry.Names.brute_force
-
-let optimal_makespan ?method_ instance =
-  let name =
-    match method_ with
-    | Some m -> solver_of_method m
-    | None -> Registry.Names.optimal
-  in
-  (Registry.solve (Registry.find_exn name) instance).Registry.makespan
-
-let optimal_schedule instance =
-  let out = Registry.solve (Registry.find_exn Registry.Names.optimal) instance in
-  match out.Registry.schedule with
-  | Some schedule -> schedule
-  | None -> assert false (* "optimal" is a witness solver *)
+let optimal_makespan instance =
+  (Registry.solve (Registry.find_exn Registry.Names.optimal) instance).Registry.makespan
 
 let ratio ~algorithm instance =
   let opt = optimal_makespan instance in

@@ -1,19 +1,12 @@
 (** Thin policy layer over {!Registry}: answers "what is the optimum of
     this instance" by choosing a registered exact solver, and computes
-    approximation ratios. All dispatch, applicability checking and
-    instrumentation lives in {!Registry}. *)
+    approximation ratios. All dispatch, capability checks and
+    instrumentation live in {!Registry}. *)
 
-type exact_method = Dp_two | Config_enum | Dfs_bnb
-
-val optimal_makespan : ?method_:exact_method -> Crs_core.Instance.t -> int
-(** Exact optimum via the registry. Default: the ["optimal"] solver
-    ({!Opt_two} for [m = 2], {!Opt_config} otherwise).
-    @raise Invalid_argument on non-unit sizes or an inapplicable
-    explicit method (e.g. [Dp_two] on [m = 3]). *)
-
-val optimal_schedule : Crs_core.Instance.t -> Crs_core.Schedule.t
-(** A witness optimal schedule ({!Opt_two} for two processors,
-    {!Opt_config} otherwise). *)
+val optimal_makespan : Crs_core.Instance.t -> int
+(** Exact optimum via the registry's ["optimal"] solver ({!Opt_two} for
+    [m = 2], {!Opt_config} otherwise).
+    @raise Invalid_argument on non-unit sizes. *)
 
 val ratio : algorithm:(Crs_core.Instance.t -> int) -> Crs_core.Instance.t -> Crs_num.Rational.t
 (** [algorithm makespan / optimal makespan]. When the optimum is 0 the

@@ -14,8 +14,10 @@ type outcome =
   | Timeout  (** a fuel-metered solve ran out of budget *)
   | Error of string  (** the item raised; the message is recorded *)
   | Not_applicable of string
-      (** the solver's capability record rejected the instance (e.g.
-          opt-two on [m = 3]); the reason is recorded, no solve ran *)
+      (** the capability record of the solver (e.g. opt-two on [m = 3])
+          or of the exact baseline (sized jobs) rejected the instance;
+          the reason is recorded. In the baseline case the algorithm's
+          [makespan] is kept. *)
 
 val outcome_label : outcome -> string
 

@@ -19,63 +19,53 @@ let algorithm_names = Registry.names
    [wall_ns]. *)
 let now_ns () = Int64.to_int (Crs_obs.Clock.monotonic_ns ())
 
-type 'a metered =
-  | Value of 'a
-  | Ran_out
-  | Raised of string
-  | Inapplicable of string
+let optimal = Registry.find_exn Registry.Names.optimal
 
-let metered fuel f =
-  try Value (Crs_util.Fuel.with_fuel fuel f) with
-  | Crs_util.Fuel.Out_of_fuel -> Ran_out
-  | e -> Raised (Printexc.to_string e)
-
-(* Evaluate one algorithm on one instance. The registry's capability
-   check runs first, so an exact solver swept over a family outside its
-   range records Not_applicable instead of crashing the item. Each phase
-   (algorithm, then baseline) gets its own fuel budget; running out in
-   either records a Timeout instead of hanging the campaign, and any
-   other exception is captured so one poisoned instance never kills the
+(* Evaluate one algorithm on one instance. Both phases, the algorithm
+   and then the baseline, solve through [Registry.run] under the spec's
+   fuel: a solver whose capability record rejects the instance records
+   Not_applicable instead of crashing the item, and running out of fuel
+   records a Timeout instead of hanging the campaign. Any other
+   exception is captured so one poisoned instance never kills the
    run. *)
 let evaluate ~fuel ~baseline ~algorithm instance =
-  let counters = ref None in
-  let makespan_result =
+  let attempt f =
+    match f () with
+    | Ok v -> Ok v
+    | Error (Registry.Inapplicable reason) -> Error (Report.Not_applicable reason)
+    | Error (Registry.Timeout _) -> Error Report.Timeout
+    | exception e -> Error (Report.Error (Printexc.to_string e))
+  in
+  let result =
     match Registry.find algorithm with
-    | None -> Raised (Printf.sprintf "unknown algorithm %s" algorithm)
-    | Some solver -> (
-      match Registry.applicability solver instance with
-      | Stdlib.Error reason -> Inapplicable reason
-      | Ok () ->
-        metered fuel (fun () ->
-            let out = Registry.solve solver instance in
-            counters := Some out.Registry.counters;
-            out.Registry.makespan))
+    | None -> Error (Report.Error (Printf.sprintf "unknown algorithm %s" algorithm))
+    | Some solver -> attempt (fun () -> Registry.run ?fuel solver instance)
   in
-  let baseline_result =
-    match makespan_result with
-    | Ran_out | Raised _ | Inapplicable _ -> Value 0 (* unused *)
-    | Value _ ->
-      metered fuel (fun () ->
-          match baseline with
-          | Spec.Exact -> Crs_algorithms.Solver.optimal_makespan instance
-          | Spec.Lower_bound -> Crs_algorithms.Solver.certified_lower_bound instance)
-  in
-  let outcome, makespan, optimum =
-    match (makespan_result, baseline_result) with
-    | Inapplicable reason, _ -> (Report.Not_applicable reason, None, None)
-    | Ran_out, _ -> (Report.Timeout, None, None)
-    | Raised msg, _ -> (Report.Error msg, None, None)
-    | Value ms, Value opt -> (Report.Done, Some ms, Some opt)
-    | Value ms, Ran_out -> (Report.Timeout, Some ms, None)
-    | Value ms, Raised msg -> (Report.Error msg, Some ms, None)
-    | Value _, Inapplicable _ -> assert false (* baseline is never checked *)
+  let outcome, makespan, optimum, counters =
+    match result with
+    | Error outcome -> (outcome, None, None, None)
+    | Ok out -> (
+      let optimum =
+        attempt (fun () ->
+            match baseline with
+            | Spec.Exact ->
+              Result.map
+                (fun o -> o.Registry.makespan)
+                (Registry.run ?fuel optimal instance)
+            | Spec.Lower_bound ->
+              Ok (Crs_algorithms.Solver.certified_lower_bound instance))
+      in
+      let counters = Some out.Registry.counters in
+      match optimum with
+      | Ok opt -> (Report.Done, Some out.Registry.makespan, Some opt, counters)
+      | Error outcome -> (outcome, Some out.Registry.makespan, None, counters))
   in
   let ratio =
     match (makespan, optimum) with
     | Some ms, Some opt when opt > 0 -> Some (float_of_int ms /. float_of_int opt)
     | _ -> None
   in
-  (outcome, makespan, optimum, ratio, !counters)
+  (outcome, makespan, optimum, ratio, counters)
 
 let run_item spec (item : Spec.item) =
   let t0 = now_ns () in

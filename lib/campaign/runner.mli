@@ -15,13 +15,13 @@ val algorithm_names : string list
 (** All registered names ([= Crs_algorithms.Registry.names]). *)
 
 val run_item : Spec.t -> Spec.item -> Report.record
-(** Evaluate one item: regenerate the instance from its seed, check the
-    solver's capability record (a rejected instance records
-    [Not_applicable] without running), run the algorithm and then the
-    baseline (each under the spec's fuel budget), capture [Out_of_fuel]
-    as [Timeout] and any other exception as [Error]. Never raises. The
+(** Evaluate one item: regenerate the instance from its seed, then solve
+    the algorithm and the baseline through
+    {!Crs_algorithms.Registry.run}, each under the spec's fuel budget.
+    A capability rejection records [Not_applicable], an exhausted
+    budget [Timeout], any other exception [Error]. Never raises. The
     record carries the solver's {!Crs_algorithms.Registry.Counters.t}
-    when the solve completed. *)
+    when the algorithm's solve completed. *)
 
 val run : ?domains:int -> Spec.t -> Report.record array
 (** Run the whole campaign; records are in item order regardless of the

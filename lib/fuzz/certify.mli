@@ -36,7 +36,7 @@ val check :
   (verdict, string) result
 (** {!derive} plus the makespan claim: the witness must achieve exactly
     [claimed]. This is the full certificate used by
-    [Registry.solve ~certify:true]. *)
+    [Registry.run ~certify:true]. *)
 
 val install : unit -> unit
 (** (Re-)install {!check} as the registry's certifier hook

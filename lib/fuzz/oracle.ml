@@ -17,10 +17,7 @@ let approx_bounds =
     (Registry.Names.round_robin, fun _ -> (2, 1));
   ]
 
-let optimal_makespan instance =
-  (Registry.solve (Registry.find_exn Registry.Names.optimal) instance)
-    .Registry.makespan
-
+let optimal_makespan = Crs_algorithms.Solver.optimal_makespan
 let unit_size = Instance.is_unit_size
 
 (* Exact solvers are exponential; every oracle that runs one guards on
@@ -40,12 +37,9 @@ let exact_agreement =
             (fun solver ->
               if Registry.kind solver <> Registry.Exact then None
               else
-                match Registry.applicability solver instance with
+                match Registry.run solver instance with
                 | Error _ -> None
-                | Ok () ->
-                  Some
-                    ( Registry.name solver,
-                      (Registry.solve solver instance).Registry.makespan ))
+                | Ok out -> Some (Registry.name solver, out.Registry.makespan))
             Registry.all
         in
         match results with
@@ -75,18 +69,15 @@ let witness_certified =
               if
                 Registry.witness solver
                 && (Registry.kind solver <> Registry.Exact || small instance)
-                && Registry.applicability solver instance = Ok ()
-              then begin
-                let out = Registry.solve solver instance in
-                match out.Registry.schedule with
-                | None -> raise (Bad (Registry.name solver ^ ": no witness"))
-                | Some schedule -> (
-                  match
-                    Certify.check instance schedule ~claimed:out.Registry.makespan
-                  with
+              then
+                match Registry.run solver instance with
+                | Error _ -> ()
+                | Ok { Registry.schedule = None; _ } ->
+                  raise (Bad (Registry.name solver ^ ": no witness"))
+                | Ok { Registry.schedule = Some schedule; makespan; _ } -> (
+                  match Certify.check instance schedule ~claimed:makespan with
                   | Ok _ -> ()
-                  | Error msg -> raise (Bad (Registry.name solver ^ ": " ^ msg)))
-              end)
+                  | Error msg -> raise (Bad (Registry.name solver ^ ": " ^ msg))))
             Registry.all;
           Ok ()
         with Bad msg -> Error msg);
@@ -104,9 +95,9 @@ let approx_bounds_hold =
         try
           List.iter
             (fun (name, bound) ->
-              let solver = Registry.find_exn name in
-              if Registry.applicability solver instance = Ok () then begin
-                let ms = (Registry.solve solver instance).Registry.makespan in
+              match Registry.run (Registry.find_exn name) instance with
+              | Error _ -> ()
+              | Ok { Registry.makespan = ms; _ } ->
                 let num, den = bound (Instance.m instance) in
                 if ms < opt then
                   raise
@@ -116,8 +107,7 @@ let approx_bounds_hold =
                   raise
                     (Bad
                        (Printf.sprintf "%s = %d exceeds %d/%d * optimum %d" name
-                          ms num den opt))
-              end)
+                          ms num den opt)))
             approx_bounds;
           Ok ()
         with Bad msg -> Error msg);

@@ -1,5 +1,4 @@
 module Exec = Crs_exec.Exec
-module Fuel = Crs_util.Fuel
 
 type t = { exec : Exec.t; queue : int }
 
@@ -40,11 +39,5 @@ let map t ~f ~shed items =
   Array.map
     (function Some r -> r | None -> assert false (* every slot filled *))
     out
-
-let with_deadline budget f =
-  let before = Fuel.ticks () in
-  match Fuel.with_fuel budget (fun () -> Ok (f ())) with
-  | r -> r
-  | exception Fuel.Out_of_fuel -> Error (Fuel.ticks () - before)
 
 let drain t = Exec.shutdown t.exec

@@ -1,5 +1,5 @@
 (** Admission control: a bounded queue in front of the shared
-    work-stealing executor, plus fuel deadlines.
+    work-stealing executor.
 
     The daemon admits at most [queue] work requests {i in flight};
     requests beyond that are {i shed} — answered immediately with a
@@ -39,12 +39,6 @@ val map : t -> f:('a -> 'b) -> shed:('a -> 'b) -> 'a array -> 'b array
     Re-raises the first exception any [f] task raised, after the batch
     settles ([f] callers are expected to catch their own — the server's
     work function never raises). *)
-
-val with_deadline : int option -> (unit -> 'a) -> ('a, int) result
-(** Run a thunk under a {!Crs_util.Fuel} budget. [Ok] on completion;
-    [Error ticks] when the budget ran out, where [ticks] is the
-    {!Crs_util.Fuel.ticks} delta actually spent (the budget + 1, since
-    the overrunning tick itself is counted). [None] means no deadline. *)
 
 val drain : t -> unit
 (** Shut the executor down (idempotent). Subsequent {!map} calls

@@ -350,26 +350,22 @@ let do_solve t (s : Protocol.solve) =
             (Printf.sprintf "unknown algorithm %S (valid: %s)" s.algorithm
                (String.concat ", " Registry.names)) )
       | Some solver -> (
-        match Registry.applicability solver canonical with
-        | Error reason -> (Not_applicable_, Protocol.not_applicable reason)
-        | Ok () -> (
-          match
-            Admission.with_deadline fuel (fun () ->
-                Registry.solve ~certify:s.certify solver canonical)
-          with
-          | Ok outcome ->
-            Trace.add_attrs
-              [ ("fuel_ticks", Trace.Int outcome.counters.fuel_ticks) ];
-            ( Ok_,
-              Protocol.ok_solve ~algorithm:s.algorithm
-                ~makespan:outcome.makespan
-                ~schedule:(if s.witness then outcome.schedule else None)
-                ~counters:outcome.counters ~canon_digest )
-          | Error ticks ->
-            Trace.add_attrs [ ("fuel_ticks", Trace.Int ticks) ];
-            ( Timeout_,
-              Protocol.timeout ~fuel:(Option.get fuel) ~fuel_ticks:ticks )
-          | exception exn -> (Error_, Protocol.error (Printexc.to_string exn))))
+        match Registry.run ?fuel ~certify:s.certify solver canonical with
+        | Ok outcome ->
+          Trace.add_attrs
+            [ ("fuel_ticks", Trace.Int outcome.counters.fuel_ticks) ];
+          ( Ok_,
+            Protocol.ok_solve ~algorithm:s.algorithm
+              ~makespan:outcome.makespan
+              ~schedule:(if s.witness then outcome.schedule else None)
+              ~counters:outcome.counters ~canon_digest )
+        | Error (Registry.Inapplicable reason) ->
+          (Not_applicable_, Protocol.not_applicable reason)
+        | Error (Registry.Timeout ticks) ->
+          Trace.add_attrs [ ("fuel_ticks", Trace.Int ticks) ];
+          ( Timeout_,
+            Protocol.timeout ~fuel:(Option.get fuel) ~fuel_ticks:ticks )
+        | exception exn -> (Error_, Protocol.error (Printexc.to_string exn)))
     in
     (* Timeouts are cached too: re-running out the same budget on the
        same instance is the most expensive way to repeat an answer. *)

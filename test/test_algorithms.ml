@@ -278,10 +278,13 @@ let test_certified_bound_on_families () =
 let test_solver_facade () =
   let inst = Helpers.instance_of_strings [ [ "1/2"; "1/2" ]; [ "1/2" ] ] in
   Alcotest.(check int) "dispatch m=2" 2 (Crs_algorithms.Solver.optimal_makespan inst);
+  let module R = Crs_algorithms.Registry in
   Alcotest.(check int) "explicit method" 2
-    (Crs_algorithms.Solver.optimal_makespan ~method_:Crs_algorithms.Solver.Dfs_bnb inst);
-  let sched = Crs_algorithms.Solver.optimal_schedule inst in
-  Alcotest.(check int) "witness" 2 (Execution.makespan (Execution.run_exn inst sched));
+    (R.solve (R.find_exn R.Names.brute_force) inst).R.makespan;
+  (match (R.solve (R.find_exn R.Names.optimal) inst).R.schedule with
+  | Some sched ->
+    Alcotest.(check int) "witness" 2 (Execution.makespan (Execution.run_exn inst sched))
+  | None -> Alcotest.fail "optimal returned no witness");
   Alcotest.check Helpers.check_q "ratio of GB" Q.one
     (Crs_algorithms.Solver.ratio ~algorithm:Crs_algorithms.Greedy_balance.makespan inst)
 

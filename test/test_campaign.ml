@@ -102,6 +102,25 @@ let test_error_captured () =
       (Helpers.contains ~needle:"no-such-algorithm" msg)
   | _ -> Alcotest.fail "expected an error outcome"
 
+let test_baseline_inapplicable () =
+  (* The exact baseline goes through the same capability check as the
+     algorithm: on sized jobs the algorithm's makespan is kept and the
+     record reads not_applicable with the baseline's reason. *)
+  let instance =
+    match Crs_core.Instance.of_string "1/2*2 1/3\n1/4 1/2\n" with
+    | Ok i -> i
+    | Error msg -> Alcotest.fail msg
+  in
+  match
+    C.Runner.compare_records ~names:[ "greedy-balance" ] ~baseline:C.Spec.Exact
+      ~family:"file" instance
+  with
+  | [ r ] ->
+    Alcotest.(check string) "payload"
+      {|{"id":0,"family":"file","m":2,"n":2,"granularity":null,"seed":null,"digest":"d0b4618213614b38a534dce6281a6593","algorithm":"greedy-balance","outcome":"not_applicable","detail":"optimal requires unit-size jobs","makespan":3,"baseline":"exact","optimum":null,"ratio":null,"counters":{"states_expanded":0,"dp_relaxations":0,"configs_enumerated":0,"memo_hits":0,"memo_misses":0,"fuel_ticks":0}}|}
+      (C.Report.payload r)
+  | _ -> Alcotest.fail "one record per name"
+
 (* ---- Determinism across pool sizes (and the tier-1 smoke campaign) ---- *)
 
 let test_determinism_across_domains () =
@@ -233,6 +252,8 @@ let suite =
     Alcotest.test_case "runner: fuel exhaustion -> timeout record" `Quick
       test_timeout_recorded;
     Alcotest.test_case "runner: errors captured per item" `Quick test_error_captured;
+    Alcotest.test_case "runner: inapplicable exact baseline" `Quick
+      test_baseline_inapplicable;
     Alcotest.test_case "determinism: 1-domain == 2-domain payloads" `Quick
       test_determinism_across_domains;
     Alcotest.test_case "determinism: digests + trace signatures at 1/2/3/8" `Quick

@@ -74,7 +74,29 @@ let test_bad_inputs () =
       (* requirement > 1 is rejected at parse time *)
       let code, out = run_capture (Printf.sprintf "solve %s" path) in
       Alcotest.(check bool) "invalid requirement fails" true (code <> 0);
-      Alcotest.(check bool) "helpful message" true (has "error" out))
+      Alcotest.(check bool) "helpful message" true (has "error" out));
+  (* Sized jobs: the hypergraph bounds and Lemma 1 are defined for
+     unit-size jobs only, so commands built on them refuse cleanly. *)
+  with_instance_file "1/2*2 1/3\n1/4 1/2\n" (fun path ->
+      List.iter
+        (fun cmd ->
+          let code, out = run_capture (Printf.sprintf "%s %s" cmd path) in
+          Alcotest.(check int) (cmd ^ " on sized jobs exits 1") 1 code;
+          Alcotest.(check bool) (cmd ^ " names the restriction") true
+            (has "error: " out && has "unit-size jobs" out))
+        [ "compare"; "bounds"; "graph"; "normalize" ];
+      let sched = Filename.temp_file "sched" ".txt" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove sched)
+        (fun () ->
+          let code, _ =
+            run_capture (Printf.sprintf "export %s --schedule %s" path sched)
+          in
+          Alcotest.(check int) "export on sized jobs exits 0" 0 code;
+          let code, out = run_capture (Printf.sprintf "verify %s %s" path sched) in
+          Alcotest.(check int) "verify on sized jobs exits 0" 0 code;
+          Alcotest.(check bool) "verify notes the missing bound" true
+            (has "not computed" out)))
 
 let test_compare_json () =
   with_instance_file "1/2 1/2\n1/2\n" (fun path ->

@@ -181,6 +181,119 @@ let test_counters_populated () =
   Alcotest.(check int) "assoc order is stable"
     6 (List.length (R.Counters.to_assoc dp))
 
+(* The Registry.run contract: the capability check spends no fuel, a
+   timeout reports the ticks spent (budget + 1), a call without ~fuel
+   leaves an enclosing budget in charge, and certification passes the
+   same answer through. *)
+let test_run_contract () =
+  let module Fuel = Crs_util.Fuel in
+  let opt_two = R.find_exn R.Names.opt_two in
+  let m3 = random_instance_m (Random.State.make [| 5 |]) 3 in
+  let before = Fuel.ticks () in
+  (match R.run opt_two m3 with
+  | Error (R.Inapplicable reason) ->
+    Alcotest.(check string) "reason" "opt-two requires m <= 2, instance has m = 3"
+      reason
+  | _ -> Alcotest.fail "opt-two must reject m = 3");
+  Alcotest.(check int) "the check spends no fuel" before (Fuel.ticks ());
+  (* Fuel price 2: the DP reaches 2 of its 8 grid cells (the serve
+     tests pin the same instance). *)
+  let diagonal =
+    Helpers.instance_of_strings [ [ "1/4"; "1/2" ]; [ "1/4"; "1/2" ] ]
+  in
+  (match R.run ~fuel:2 opt_two diagonal with
+  | Ok out ->
+    Alcotest.(check int) "fuel_ticks = price" 2
+      out.R.counters.R.Counters.fuel_ticks
+  | Error _ -> Alcotest.fail "a budget of the price must solve");
+  (match R.run ~fuel:1 opt_two diagonal with
+  | Error (R.Timeout ticks) ->
+    Alcotest.(check int) "timeout reports budget + 1" 2 ticks
+  | _ -> Alcotest.fail "one tick under the price must time out");
+  let figure3 = Crs_generators.Adversarial.round_robin_family ~n:40 in
+  let optimal = R.find_exn R.Names.optimal in
+  Alcotest.check_raises "without ~fuel the enclosing budget raises"
+    Fuel.Out_of_fuel (fun () ->
+      Fuel.with_fuel (Some 3) (fun () -> ignore (R.run optimal figure3)));
+  match (R.run optimal figure3, R.run ~certify:true optimal figure3) with
+  | Ok plain, Ok certified ->
+    Alcotest.(check int) "certified makespan" plain.R.makespan
+      certified.R.makespan
+  | _ -> Alcotest.fail "Figure 3 at n = 40 must solve"
+
+(* Every way a solve can fail, as the two callers render it: campaign
+   records ([Runner.run_item] payloads) and crs-serve/1 responses
+   ([Server.handle_line]). The digest pins the bytes of the whole set,
+   so a refactor of the failure plumbing must reproduce them exactly. *)
+let failure_path_bytes () =
+  let module Spec = Crs_campaign.Spec in
+  let module Server = Crs_serve.Server in
+  let module J = Crs_util.Stable_json in
+  let spec fuel = { Spec.default with Spec.seed_lo = 1; seed_hi = 1; fuel } in
+  let record fuel algorithm =
+    Crs_campaign.Report.payload
+      (Crs_campaign.Runner.run_item (spec fuel)
+         { Spec.id = 0; seed = 1; algorithm })
+  in
+  let records =
+    [
+      record (Some 2_000_000) R.Names.greedy_balance (* done *);
+      record (Some 2_000_000) R.Names.opt_two (* not_applicable: m = 3 *);
+      record (Some 2_000_000) "no-such-solver" (* unknown algorithm *);
+      record (Some 5) R.Names.brute_force (* timeout, algorithm phase *);
+      record (Some 5) R.Names.greedy_balance (* timeout, baseline phase *);
+    ]
+  in
+  let server =
+    Server.create
+      {
+        Server.default_config with
+        Server.workers = 1;
+        cache_capacity = 0;
+        default_fuel = None;
+      }
+  in
+  let solve ?(extra = []) rows =
+    Server.handle_line server
+      (J.obj
+         ([
+            ("proto", J.str Crs_serve.Protocol.version);
+            ("kind", J.str "solve");
+            ("instance", J.str (Instance.to_string (Helpers.instance_of_strings rows)));
+          ]
+         @ extra))
+  in
+  let m3 = [ [ "1/2"; "1/4" ]; [ "1/2" ]; [ "3/4"; "1/4" ] ] in
+  let diagonal = [ [ "1/4"; "1/2" ]; [ "1/4"; "1/2" ] ] in
+  let responses =
+    Fun.protect
+      ~finally:(fun () -> Server.drain server)
+      (fun () ->
+        [
+          solve ~extra:[ ("algorithm", J.str R.Names.opt_two) ] m3;
+          solve
+            ~extra:[ ("algorithm", J.str R.Names.opt_two); ("fuel", J.int 1) ]
+            diagonal;
+          solve ~extra:[ ("algorithm", J.str "no-such-solver") ] diagonal;
+          solve
+            ~extra:
+              [
+                ("algorithm", J.str R.Names.optimal);
+                ("certify", J.bool true);
+                ("witness", J.bool true);
+              ]
+            m3;
+        ])
+  in
+  String.concat "\n" (records @ responses)
+
+let test_failure_paths_pinned () =
+  let bytes = failure_path_bytes () in
+  print_endline bytes;
+  Alcotest.(check string) "runner records + server responses"
+    "4ae1287596847b82fcd1248e65bae80c"
+    (Digest.to_hex (Digest.string bytes))
+
 let suite =
   [
     Alcotest.test_case "registry covers all algorithms, names unique" `Quick
@@ -194,4 +307,8 @@ let suite =
     Alcotest.test_case "unknown names: find/find_exn" `Quick test_find_unknown;
     Alcotest.test_case "counters populated per solver family" `Quick
       test_counters_populated;
+    Alcotest.test_case "failure paths: runner and server bytes pinned" `Quick
+      test_failure_paths_pinned;
+    Alcotest.test_case "run: capability check, budget, timeout, certify" `Quick
+      test_run_contract;
   ]
