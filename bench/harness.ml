@@ -93,6 +93,18 @@ let minor_words f =
   ignore (Sys.opaque_identity (f ()));
   Gc.minor_words () -. w0
 
+(* Words [f ()] allocates in all: minor words plus the blocks allocated
+   straight into the major heap (those too large for the minor heap),
+   which [Gc.minor_words] never sees. *)
+let words f =
+  let direct () =
+    let _, promoted, major = Gc.counters () in
+    major -. promoted
+  in
+  let w0 = Gc.minor_words () and d0 = direct () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. w0 +. (direct () -. d0)
+
 let write file json =
   Out_channel.with_open_text file (fun oc -> Out_channel.output_string oc json);
   Printf.printf "wrote %s\n" file

@@ -113,7 +113,7 @@ let solve ?(prune = true) instance =
         (fun node ->
           List.iter
             (fun (cfg, shares) ->
-              Crs_util.Fuel.tick ();
+              Crs_util.Fuel.charge (Crs_util.Fuel.meter ());
               incr generated;
               if not (Hashtbl.mem seen cfg) && not (Hashtbl.mem next cfg) then
                 Hashtbl.replace next cfg { config = cfg; parent = Some node; shares })

@@ -53,7 +53,7 @@ let run_dp instance =
        state before it is expanded. *)
     for level = 0 to n1 + n2 - 1 do
       for i1 = max 0 (level - n2) to min level n1 do
-        Crs_util.Fuel.tick ();
+        Crs_util.Fuel.charge (Crs_util.Fuel.meter ());
         let i2 = level - i1 in
         match table.(i1).(i2) with
         | None -> ()

@@ -1042,23 +1042,24 @@ let exp_num ?(mode = `Run) () =
 (* ---------- obs: tracing-overhead gate ---------- *)
 
 (* The gate compares Crs_algorithms.Opt_two (profiling hooks compiled
-   in, tracing/metrics disabled) against Opt_two_unhooked, a frozen
-   pre-instrumentation snapshot of the same DP vendored into this
-   binary. Both run in the SAME process as paired reps, so
-   machine-speed drift — which moves wall AND CPU-time minima several
-   percent between processes on shared hardware, far above the 2% bound
-   being checked — hits both sides identically and cancels out of the
-   ratio. Per-rep CPU time keeps scheduler noise out of the minima. *)
+   in, tracing/metrics disabled) against Crs_unhooked.Opt_two, the same
+   source file compiled beside a no-op Crs_obs (bench/unhooked), so the
+   two differ only by the hooks. Both run in the SAME process as paired
+   reps, so machine-speed drift — which moves wall AND CPU-time minima
+   several percent between processes on shared hardware, far above the
+   2% bound being checked — hits both sides identically and cancels out
+   of the ratio. Per-rep CPU time keeps scheduler noise out of the
+   minima. *)
 let exp_obs ?(mode = `Run) () =
   banner "obs" "observability layer (span tracer + metrics registry)"
     "gate: <= 2% overhead on Opt_two/Figure-3 with tracing disabled, vs the \
-     vendored pre-instrumentation copy of the DP (bench/opt_two_unhooked.ml)";
+     same kernel built against a no-op Crs_obs (bench/unhooked)";
   let opt_two_n, reps, warmups =
     match mode with
-    (* n = 2400 keeps the timed region at the ~0.15s scale the 2%
-       budget was calibrated against: the flat-state kernel rewrite
-       made n = 1200 a ~40ms region, where run-to-run jitter alone is
-       a couple of percent. *)
+    (* n = 2400 was picked when a solve took ~0.15 s, the scale the 2%
+       budget was calibrated against. On three rolling diagonals it
+       takes ~30 ms (2-vCPU VM), where run-to-run jitter is about as
+       wide as the budget. *)
     | `Run -> (2400, 30, 8)
     (* Smoke: the machinery end to end at a size where timings carry
        no signal — no file written, no gate judged. *)
@@ -1066,7 +1067,7 @@ let exp_obs ?(mode = `Run) () =
   in
   let fig3 = A.round_robin_family ~n:opt_two_n in
   let hooked () = Crs_algorithms.Opt_two.makespan fig3 in
-  let unhooked () = Opt_two_unhooked.makespan fig3 in
+  let unhooked () = Crs_unhooked.Opt_two.makespan fig3 in
   Crs_obs.Trace.set_enabled false;
   Crs_obs.Metrics.set_enabled false;
   let disabled = H.paired ~clock:H.Cpu ~warmups ~reps unhooked hooked in
@@ -1190,6 +1191,34 @@ let exp_dp ?(mode = `Run) () =
      uniform m=3 n=6 seeds 1-%d flat %.0f legacy %.0f\n"
     cfg_n fig3_words_flat fig3_words_legacy sweep_seeds sweep_words_flat
     sweep_words_legacy;
+  (* Opt_two's words per solve, on the Figure-3 instance and averaged
+     over seeds 1-50 of perfbench exact-cold's m = 2 family (60-120 jobs
+     per processor, granularity 20). Both kernels allocate their large
+     arrays straight into the major heap, so these count those words
+     too, not only minor ones. *)
+  let cold_spec =
+    { Crs_generators.Random_gen.m = 2; jobs_min = 60; jobs_max = 120; granularity = 20;
+      allow_zero = false }
+  in
+  let cold =
+    List.init sweep_seeds (fun k ->
+        Crs_generators.Random_gen.instance ~spec:cold_spec
+          (Random.State.make [| k + 1 |]))
+  in
+  let mean_all_words solve instances =
+    List.fold_left (fun w i -> w +. H.words (fun () -> solve i)) 0.0 instances
+    /. float_of_int (List.length instances)
+  in
+  let two_flat i = Crs_algorithms.Opt_two.solve i and two_legacy i = L2.solve i in
+  let two_fig3_words_flat = mean_all_words two_flat [ fig3_two ]
+  and two_fig3_words_legacy = mean_all_words two_legacy [ fig3_two ]
+  and two_cold_words_flat = mean_all_words two_flat cold
+  and two_cold_words_legacy = mean_all_words two_legacy cold in
+  Printf.printf
+    "opt_two words per solve (minor + direct major): fig3 n=%d flat %.0f \
+     legacy %.0f; exact-cold m=2 seeds 1-%d flat %.0f legacy %.0f\n"
+    two_n two_fig3_words_flat two_fig3_words_legacy sweep_seeds
+    two_cold_words_flat two_cold_words_legacy;
   (* Paired reps, flat first on even reps; the speedup is the median
      legacy/flat ratio. *)
   let two =
@@ -1231,15 +1260,19 @@ let exp_dp ?(mode = `Run) () =
           \"opt_config_fig3_words_flat\":%.0f,\
           \"opt_config_fig3_words_legacy\":%.0f,\"opt_config_sweep_seeds\":%d,\
           \"opt_config_sweep_words_flat\":%.0f,\
-          \"opt_config_sweep_words_legacy\":%.0f,\"parity\":true,\"gate\":%.1f,\
+          \"opt_config_sweep_words_legacy\":%.0f,\
+          \"opt_two_fig3_words_flat\":%.0f,\"opt_two_fig3_words_legacy\":%.0f,\
+          \"opt_two_cold_seeds\":%d,\"opt_two_cold_words_flat\":%.0f,\
+          \"opt_two_cold_words_legacy\":%.0f,\"parity\":true,\"gate\":%.1f,\
           \"gate_met\":%b}\n"
          two_n two.H.best_a two.H.best_b two.H.ratio cfg_n cfg_iters cfg.H.best_a
          cfg.H.best_b cfg.H.ratio reps
          s_new.counters.Crs_algorithms.Opt_two.cells_expanded
          s_new.counters.Crs_algorithms.Opt_two.relaxations
          c_new.stats.Crs_algorithms.Opt_config.generated fig3_words_flat
-         fig3_words_legacy sweep_seeds sweep_words_flat sweep_words_legacy gate
-         gate_met);
+         fig3_words_legacy sweep_seeds sweep_words_flat sweep_words_legacy
+         two_fig3_words_flat two_fig3_words_legacy sweep_seeds two_cold_words_flat
+         two_cold_words_legacy gate gate_met);
     Printf.printf
       "speedup vs frozen boxed kernels: opt_two %.2fx, opt_config %.2fx (gate \
        >= %.1fx on BOTH: %s)\n"

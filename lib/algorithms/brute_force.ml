@@ -50,8 +50,9 @@ let solve ?(node_limit = 2_000_000) instance =
   let visited = ref 0 in
   let memo_hits = ref 0 and memo_misses = ref 0 in
   let memo : int Memo.t = Memo.create 4096 in
+  let fuel = Crs_util.Fuel.meter () in
   let rec dfs t (j : int array) (v : Q.t array) =
-    Crs_util.Fuel.tick ();
+    Crs_util.Fuel.charge fuel;
     incr visited;
     if !visited > node_limit then failwith "Brute_force: node limit exceeded";
     let actives = List.filter (fun i -> j.(i) < n i) (Crs_util.Misc.range m) in

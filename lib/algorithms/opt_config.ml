@@ -206,6 +206,7 @@ let solve ?(prune = true) instance =
     let seen : unit H.t = H.create 1024 in
     H.replace seen start.key ();
     let generated = ref 0 in
+    let fuel = Crs_util.Fuel.meter () in
     let layer_sizes = ref [] in
     let max_layers = Instance.total_jobs instance + 1 in
     let layer_hist =
@@ -326,7 +327,7 @@ let solve ?(prune = true) instance =
        (num, lden) pairs — never reduced — keeping the encoding uniform
        for dedup. *)
     let emit_cd nd partial pnum =
-      Crs_util.Fuel.tick ();
+      Crs_util.Fuel.charge fuel;
       incr generated;
       let c_ints = nd.key.Key.ints in
       for i = m - 1 downto 0 do
@@ -348,7 +349,7 @@ let solve ?(prune = true) instance =
        wastes any leftover; otherwise processor [partial] receives the
        leftover. *)
     let emit_general nd partial =
-      Crs_util.Fuel.tick ();
+      Crs_util.Fuel.charge fuel;
       incr generated;
       let c_ints = nd.key.Key.ints in
       let bigs = ref [] in

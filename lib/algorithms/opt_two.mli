@@ -32,6 +32,3 @@ val solve : Crs_core.Instance.t -> solution
 
 val makespan : Crs_core.Instance.t -> int
 (** Optimal makespan only (skips witness reconstruction bookkeeping). *)
-
-val table_dims : Crs_core.Instance.t -> int * int
-(** DP table dimensions [(n1+1, n2+1)]; exposed for complexity tests. *)

@@ -27,12 +27,13 @@ let run_dp instance =
   let n1 = Instance.n_i instance 0 and n2 = Instance.n_i instance 1 in
   let table = Array.make_matrix (n1 + 1) (n2 + 1) [] in
   table.(0).(0) <- [ (0, Q.add (req instance 0 0) (req instance 1 0)) ];
+  let fuel = Crs_util.Fuel.meter () in
   for level = 0 to n1 + n2 - 1 do
     for i1 = max 0 (level - n2) to min level n1 do
       let i2 = level - i1 in
       List.iter
         (fun (t, r) ->
-          Crs_util.Fuel.tick ();
+          Crs_util.Fuel.charge fuel;
           let t' = t + 1 in
           let fresh1 = req instance 0 (i1 + 1) and fresh2 = req instance 1 (i2 + 1) in
           let relax a b v = table.(a).(b) <- insert v table.(a).(b) in

@@ -41,6 +41,7 @@ let run instance =
   relax 0 0 (0, Q.add (req instance 0 0) (req instance 1 0));
   let visited : (int * int, unit) Hashtbl.t = Hashtbl.create 64 in
   let answer = ref None in
+  let fuel = Crs_util.Fuel.meter () in
   while !answer = None do
     match PQ.pop !queue with
     | None -> failwith "Opt_two_pq: queue exhausted before final state (bug)"
@@ -56,7 +57,7 @@ let run instance =
       else begin
         Hashtbl.replace visited (i1, i2) ();
         incr expanded;
-        Crs_util.Fuel.tick ();
+        Crs_util.Fuel.charge fuel;
         let t' = t + 1 in
         let fresh1 = req instance 0 (i1 + 1) and fresh2 = req instance 1 (i2 + 1) in
         if i1 >= n1 then relax i1 (i2 + 1) (t', fresh2)

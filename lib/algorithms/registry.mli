@@ -73,7 +73,7 @@ type requires = {
   min_m : int;  (** fewest processors accepted *)
   max_m : int option;  (** most processors accepted; [None] = unbounded *)
   unit_size_only : bool;  (** accepts only unit-size jobs *)
-  fuel_aware : bool;  (** calls {!Crs_util.Fuel.tick}, so budgets apply *)
+  fuel_aware : bool;  (** charges {!Crs_util.Fuel.charge}, so budgets apply *)
 }
 
 type outcome = {

@@ -22,9 +22,10 @@ let now_ns () = Int64.to_int (Crs_obs.Clock.monotonic_ns ())
 let optimal = Registry.find_exn Registry.Names.optimal
 
 (* Evaluate one algorithm on one instance. Both phases, the algorithm
-   and then the baseline, solve through [Registry.run] under the spec's
-   fuel: a solver whose capability record rejects the instance records
-   Not_applicable instead of crashing the item, and running out of fuel
+   and then the exact baseline, solve through [Registry.run] under the
+   spec's fuel: a solver whose capability record rejects the instance
+   (or a lower-bound baseline on sized jobs) records Not_applicable
+   instead of crashing the item, and running out of fuel
    records a Timeout instead of hanging the campaign. Any other
    exception is captured so one poisoned instance never kills the
    run. *)
@@ -53,7 +54,11 @@ let evaluate ~fuel ~baseline ~algorithm instance =
                 (fun o -> o.Registry.makespan)
                 (Registry.run ?fuel optimal instance)
             | Spec.Lower_bound ->
-              Ok (Crs_algorithms.Solver.certified_lower_bound instance))
+              (* The bound is read off the schedule hypergraph, which
+                 exists for unit-size jobs only. *)
+              if Instance.is_unit_size instance then
+                Ok (Crs_algorithms.Solver.certified_lower_bound instance)
+              else Error (Registry.Inapplicable "lower-bound requires unit-size jobs"))
       in
       let counters = Some out.Registry.counters in
       match optimum with

@@ -6,38 +6,40 @@
    function of the input — the same at any domain-pool size.
 
    The counter is domain-local (Domain.DLS), so concurrent campaign
-   items never share a budget. *)
+   items never share a budget. A kernel fetches its domain's record
+   once per solve ([meter]) and charges it per unit of work, so the
+   per-unit cost is two field updates, not two DLS lookups. *)
 
 exception Out_of_fuel
 
-(* -1 encodes "unlimited": tick is a no-op outside [with_fuel]. *)
-let slot = Domain.DLS.new_key (fun () -> ref (-1))
+(* [spent]: charges ever made in this domain, metered or not — the
+   substrate for uniform work counters (Registry.Counters); monotone,
+   so callers measure a solve by taking a delta around it. [left]:
+   charges the innermost [with_fuel] still allows, -1 for unlimited. *)
+type meter = { mutable spent : int; mutable left : int }
 
-(* Cumulative ticks ever consumed in this domain, metered or not: the
-   substrate for uniform work counters (Registry.Counters). Monotone, so
-   callers measure a solve by taking a delta around it. *)
-let spent_slot = Domain.DLS.new_key (fun () -> ref 0)
+let slot = Domain.DLS.new_key (fun () -> { spent = 0; left = -1 })
+let meter () = Domain.DLS.get slot
+let ticks () = (meter ()).spent
 
-let ticks () = !(Domain.DLS.get spent_slot)
-
-let tick () =
-  incr (Domain.DLS.get spent_slot);
-  let r = Domain.DLS.get slot in
-  if !r >= 0 then begin
-    if !r = 0 then raise Out_of_fuel;
-    decr r
+let charge m =
+  m.spent <- m.spent + 1;
+  let left = m.left in
+  if left >= 0 then begin
+    if left = 0 then raise Out_of_fuel;
+    m.left <- left - 1
   end
 
 let remaining () =
-  let r = !(Domain.DLS.get slot) in
-  if r < 0 then None else Some r
+  let left = (meter ()).left in
+  if left < 0 then None else Some left
 
 let with_fuel budget f =
-  let r = Domain.DLS.get slot in
-  let saved = !r in
+  let m = meter () in
+  let saved = m.left in
   (match budget with
-  | None -> r := -1
+  | None -> m.left <- -1
   | Some b ->
     if b < 0 then invalid_arg "Fuel.with_fuel: negative budget";
-    r := b);
-  Fun.protect ~finally:(fun () -> r := saved) f
+    m.left <- b);
+  Fun.protect ~finally:(fun () -> m.left <- saved) f

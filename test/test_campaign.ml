@@ -104,22 +104,31 @@ let test_error_captured () =
 
 let test_baseline_inapplicable () =
   (* The exact baseline goes through the same capability check as the
-     algorithm: on sized jobs the algorithm's makespan is kept and the
-     record reads not_applicable with the baseline's reason. *)
+     algorithm, and the lower-bound baseline needs unit-size jobs too:
+     on sized jobs the algorithm's makespan is kept and the record reads
+     not_applicable with the baseline's reason. *)
   let instance =
     match Crs_core.Instance.of_string "1/2*2 1/3\n1/4 1/2\n" with
     | Ok i -> i
     | Error msg -> Alcotest.fail msg
   in
-  match
-    C.Runner.compare_records ~names:[ "greedy-balance" ] ~baseline:C.Spec.Exact
-      ~family:"file" instance
-  with
-  | [ r ] ->
-    Alcotest.(check string) "payload"
-      {|{"id":0,"family":"file","m":2,"n":2,"granularity":null,"seed":null,"digest":"d0b4618213614b38a534dce6281a6593","algorithm":"greedy-balance","outcome":"not_applicable","detail":"optimal requires unit-size jobs","makespan":3,"baseline":"exact","optimum":null,"ratio":null,"counters":{"states_expanded":0,"dp_relaxations":0,"configs_enumerated":0,"memo_hits":0,"memo_misses":0,"fuel_ticks":0}}|}
-      (C.Report.payload r)
-  | _ -> Alcotest.fail "one record per name"
+  let payload baseline detail =
+    Printf.sprintf
+      {|{"id":0,"family":"file","m":2,"n":2,"granularity":null,"seed":null,"digest":"d0b4618213614b38a534dce6281a6593","algorithm":"greedy-balance","outcome":"not_applicable","detail":"%s","makespan":3,"baseline":"%s","optimum":null,"ratio":null,"counters":{"states_expanded":0,"dp_relaxations":0,"configs_enumerated":0,"memo_hits":0,"memo_misses":0,"fuel_ticks":0}}|}
+      detail baseline
+  in
+  List.iter
+    (fun (baseline, expected) ->
+      match
+        C.Runner.compare_records ~names:[ "greedy-balance" ] ~baseline
+          ~family:"file" instance
+      with
+      | [ r ] -> Alcotest.(check string) "payload" expected (C.Report.payload r)
+      | _ -> Alcotest.fail "one record per name")
+    [
+      (C.Spec.Exact, payload "exact" "optimal requires unit-size jobs");
+      (C.Spec.Lower_bound, payload "lower-bound" "lower-bound requires unit-size jobs");
+    ]
 
 (* ---- Determinism across pool sizes (and the tier-1 smoke campaign) ---- *)
 

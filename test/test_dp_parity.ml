@@ -128,60 +128,54 @@ let test_fresh_seeded_parity () =
 (* Hand-built instances at the small/bigint seam. [Q.small_bound] is
    the largest canonical small-tier part; requirements with numerators
    near it force every escape hatch in turn. *)
-let test_tier_boundary_parity () =
+let frac p q = Printf.sprintf "%d/%d" p q
+
+let tier_boundary_m2 () =
   let b = Q.small_bound in
   let i rows = Helpers.instance_of_strings rows in
-  let frac p q = Printf.sprintf "%d/%d" p q in
-  (* Sums of near-bound remainders overflow the small tier: the start
-     cell's remainder already needs the bigint spill table, and the lcm
-     of the denominators is far past small_bound, so common-denominator
-     mode must refuse the instance. *)
-  let spill =
-    i
-      [
-        [ frac (b - 2) b; "1/3"; frac (b - 1) b ];
-        [ frac (b - 3) b; "2/3"; "1/2" ];
-      ]
-  in
-  parity_two "spill-over-bound" spill;
-  parity_config "spill-over-bound" spill;
-  (* Coprime ~2^16 denominators: each requirement is comfortably
-     small-tier but their lcm (~2^32) exceeds small_bound, so the
-     kernels must run the canonical-pair path without ever spilling. *)
-  let lcm_overflow =
-    i
-      [
-        [ frac 1 65521; frac 2 65521; frac 65520 65521 ];
-        [ frac 1 65519; frac 3 65519 ];
-      ]
-  in
-  parity_two "lcm-overflow" lcm_overflow;
-  parity_config "lcm-overflow" lcm_overflow;
-  (* A genuinely bigint-tier requirement (numerator and denominator
-     above small_bound): prefetch leaves reqq = 0 and every touch of
-     this job must take the boxed route. *)
-  let big_req =
-    i
-      [
-        [ frac (b + 1) (b + 2); "1/2" ];
-        [ "1/2"; frac (b + 1) (b + 2) ];
-      ]
-  in
-  parity_two "bigint-requirement" big_req;
-  parity_config "bigint-requirement" big_req;
-  (* lcm exactly AT the bound (small_bound is prime, so a denominator
-     of small_bound pins the lcm there): the largest denominator
-     common-denominator mode may accept. *)
-  let at_bound =
-    i [ [ frac 1 b; frac 2 b ]; [ frac 3 b; frac 1 b ] ]
-  in
-  parity_two "lcm-at-bound" at_bound;
-  parity_config "lcm-at-bound" at_bound;
+  [
+    (* Sums of near-bound remainders overflow the small tier: the start
+       cell's remainder already needs the bigint spill table, and the
+       lcm of the denominators is far past small_bound, so
+       common-denominator mode must refuse the instance. *)
+    ( "spill-over-bound",
+      i
+        [
+          [ frac (b - 2) b; "1/3"; frac (b - 1) b ];
+          [ frac (b - 3) b; "2/3"; "1/2" ];
+        ] );
+    (* Coprime ~2^16 denominators: each requirement is comfortably
+       small-tier but their lcm (~2^32) exceeds small_bound, so the
+       kernels must run the canonical-pair path without ever spilling. *)
+    ( "lcm-overflow",
+      i
+        [
+          [ frac 1 65521; frac 2 65521; frac 65520 65521 ];
+          [ frac 1 65519; frac 3 65519 ];
+        ] );
+    (* A genuinely bigint-tier requirement (numerator and denominator
+       above small_bound): prefetch leaves reqq = 0 and every touch of
+       this job must take the boxed route. *)
+    ( "bigint-requirement",
+      i [ [ frac (b + 1) (b + 2); "1/2" ]; [ "1/2"; frac (b + 1) (b + 2) ] ] );
+    (* lcm exactly AT the bound (small_bound is prime, so a denominator
+       of small_bound pins the lcm there): the largest denominator
+       common-denominator mode may accept. *)
+    ("lcm-at-bound", i [ [ frac 1 b; frac 2 b ]; [ frac 3 b; frac 1 b ] ]);
+  ]
+
+let test_tier_boundary_parity () =
+  List.iter
+    (fun (name, instance) ->
+      parity_two name instance;
+      parity_config name instance)
+    (tier_boundary_m2 ());
   (* Three near-bound first jobs: remainders leave the small tier once
      a step splits a leftover, and a processor that a step leaves
      untouched must carry its big remainder into the successor's key. *)
+  let b = Q.small_bound in
   let carried =
-    i
+    Helpers.instance_of_strings
       [
         [ frac (b - 2) b; "1/3" ];
         [ frac (b - 3) b; "2/3" ];
@@ -273,6 +267,111 @@ let test_alloc_budget () =
        per !generated)
     true (per <= 40.0)
 
+(* The parity cases hold Opt_two to the frozen boxed kernel on small
+   instances; this digest pins it at serving sizes too, per instance:
+   makespan, fuel ticks, both work counters and the witness. It covers
+   perfbench exact-cold's m = 2 family (60-120 jobs per processor,
+   granularity 20) and its heavy-tailed variant, Figure 3 at n = 40 and
+   400, and the tier-boundary instances that exercise the spill table.
+   Any change to the reachable set, the relaxation order, the fuel
+   price or the replay moves it. *)
+let opt_two_digest = "3551f6dffab5f6b5e971b39064e7d921"
+
+let test_opt_two_digest () =
+  let buf = Buffer.create (1 lsl 20) in
+  let pin name i =
+    let before = Crs_util.Fuel.ticks () in
+    let s = O2.solve i in
+    let ticks = Crs_util.Fuel.ticks () - before in
+    Printf.bprintf buf "%s: %d %d %d %d\n%s\n" name s.O2.makespan ticks
+      s.O2.counters.O2.cells_expanded s.O2.counters.O2.relaxations
+      (Schedule.to_string s.O2.schedule)
+  in
+  let spec =
+    {
+      Crs_generators.Random_gen.m = 2;
+      jobs_min = 60;
+      jobs_max = 120;
+      granularity = 20;
+      allow_zero = false;
+    }
+  in
+  for seed = 1 to 120 do
+    pin
+      (Printf.sprintf "exact-cold seed=%d" seed)
+      (Crs_generators.Random_gen.instance ~spec (Random.State.make [| seed |]))
+  done;
+  for seed = 1 to 20 do
+    pin
+      (Printf.sprintf "heavy-tailed seed=%d" seed)
+      (Crs_generators.Random_gen.heavy_tailed ~spec (Random.State.make [| seed |]))
+  done;
+  List.iter
+    (fun n ->
+      pin (Printf.sprintf "fig3 n=%d" n) (Crs_generators.Adversarial.round_robin_family ~n))
+    [ 40; 400 ];
+  List.iter (fun (name, i) -> pin name i) (tier_boundary_m2 ());
+  Alcotest.(check string)
+    "146 solves: makespan, ticks, cells, relaxations, witness" opt_two_digest
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+(* Words [f] allocates: minor words plus the words allocated straight
+   into the major heap (arrays past the minor heap's size limit), which
+   [Gc.minor_words] never sees. *)
+let words f =
+  let direct () =
+    let _, promoted, major = Gc.counters () in
+    major -. promoted
+  in
+  let m0 = Gc.minor_words () and d0 = direct () in
+  let r = f () in
+  let spent = Gc.minor_words () -. m0 +. (direct () -. d0) in
+  (r, spent)
+
+(* Live state is O(n1 + n2) words: three diagonals of 3 words per i1,
+   the prefetched requirement rows and, for [solve], one via array
+   entry per level. A table over (n1 + 1)(n2 + 1) cells would cost
+   n1 n2 words and more. *)
+let words_per_job = 16.0
+
+(* 6 000 jobs of 1/4 against 6 000 of 1/2: every step finishes both
+   jobs, so the DP walks the diagonal and a budget of 100 runs dry at
+   the 101st cell. The words spent must follow the input and the fuel,
+   not the 36 M cells of the grid. *)
+let test_memory_follows_fuel () =
+  Crs_obs.Metrics.set_enabled false;
+  Crs_obs.Trace.set_enabled false;
+  let n = 6000 in
+  let i =
+    Instance.of_requirements [| Array.make n (Q.of_ints 1 4); Array.make n (Q.of_ints 1 2) |]
+  in
+  let optimal = Crs_algorithms.Registry.find_exn Crs_algorithms.Registry.Names.optimal in
+  let out, spent = words (fun () -> Crs_algorithms.Registry.run ~fuel:100 optimal i) in
+  (match out with
+  | Error (Crs_algorithms.Registry.Timeout ticks) ->
+    Alcotest.(check int) "timeout reports budget + 1" 101 ticks
+  | _ -> Alcotest.fail "fuel 100 must time out");
+  let budget = words_per_job *. float_of_int (2 * n) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words <= %.0f (n1 + n2 = %d)" spent budget (2 * n))
+    true (spent <= budget)
+
+(* The same bound on full makespan solves of Figure 3, whose reachable
+   cells grow as n^2 while the words must grow as n. *)
+let test_makespan_words () =
+  Crs_obs.Metrics.set_enabled false;
+  Crs_obs.Trace.set_enabled false;
+  List.iter
+    (fun n ->
+      let i = Crs_generators.Adversarial.round_robin_family ~n in
+      let ms, spent = words (fun () -> O2.makespan i) in
+      Alcotest.(check int) (Printf.sprintf "fig3 n=%d makespan" n) (n + 1) ms;
+      let budget = words_per_job *. float_of_int (2 * n) in
+      Alcotest.(check bool)
+        (Printf.sprintf "fig3 n=%d: %.0f words <= %.0f" n spent budget)
+        true (spent <= budget))
+    [ 200; 400; 800 ]
+
 let suite =
   [
     Alcotest.test_case "corpus instances agree with frozen kernels" `Quick
@@ -283,6 +382,11 @@ let suite =
       test_tier_boundary_parity;
     Alcotest.test_case "opt_two fuel price = reachable cells" `Quick
       test_fuel_price_is_reachable_cells;
+    Alcotest.test_case "opt_two pinned to a digest" `Quick test_opt_two_digest;
+    Alcotest.test_case "opt_two memory follows fuel" `Quick
+      test_memory_follows_fuel;
+    Alcotest.test_case "opt_two words per makespan are O(n)" `Quick
+      test_makespan_words;
     Alcotest.test_case "opt_config witnesses pinned to a digest" `Quick
       test_witness_digest;
     Alcotest.test_case "opt_config allocation budget per successor" `Quick

@@ -1,4 +1,4 @@
-(* Tests for crs_util: priority queue, union-find, misc helpers. *)
+(* Tests for crs_util: priority queue, union-find, misc helpers, fuel. *)
 
 module PQ = Crs_util.Pqueue.Make (Int)
 module UF = Crs_util.Union_find
@@ -153,6 +153,37 @@ let test_stable_json_parse_negative () =
   Alcotest.(check bool) "trailing whitespace accepted" true
     (Result.is_ok (J.parse "{}  \n"))
 
+(* A kernel fetches its meter once per solve, so a meter fetched before
+   a nested [with_fuel] must obey the inner budget while it runs, and
+   the outer budget must be back, untouched by the inner charges,
+   afterwards. Every charge counts in [ticks], the one that runs dry
+   included. *)
+let test_fuel_meter_nested () =
+  let module F = Crs_util.Fuel in
+  let m = F.meter () in
+  let t0 = F.ticks () in
+  F.charge m;
+  Alcotest.(check (option int)) "unmetered outside with_fuel" None (F.remaining ());
+  F.with_fuel (Some 3) (fun () ->
+      F.charge m;
+      Alcotest.(check (option int)) "outer budget charged" (Some 2) (F.remaining ());
+      Alcotest.check_raises "inner budget of 1 runs dry at the 2nd charge"
+        F.Out_of_fuel (fun () ->
+          F.with_fuel (Some 1) (fun () ->
+              F.charge m;
+              Alcotest.(check (option int)) "inner budget" (Some 0) (F.remaining ());
+              F.charge m));
+      Alcotest.(check (option int)) "outer budget restored" (Some 2) (F.remaining ());
+      F.with_fuel None (fun () ->
+          for _ = 1 to 10 do F.charge m done;
+          Alcotest.(check (option int)) "unmetered inside" None (F.remaining ()));
+      F.charge m;
+      F.charge m;
+      Alcotest.check_raises "outer budget runs dry at its 4th charge" F.Out_of_fuel
+        (fun () -> F.charge m));
+  Alcotest.(check (option int)) "unmetered again" None (F.remaining ());
+  Alcotest.(check int) "every charge ticks" 17 (F.ticks () - t0)
+
 let suite =
   [
     Alcotest.test_case "pqueue: basics" `Quick test_pqueue_basic;
@@ -167,4 +198,6 @@ let suite =
       test_stable_json_parse_roundtrip;
     Alcotest.test_case "stable json: negative paths carry offsets" `Quick
       test_stable_json_parse_negative;
+    Alcotest.test_case "fuel: a meter obeys nested budgets" `Quick
+      test_fuel_meter_nested;
   ]
