@@ -81,54 +81,45 @@ let pp fmt t =
     t.procs;
   Format.fprintf fmt "@]"
 
-let job_to_string j =
-  if Job.is_unit_size j then Q.to_string (Job.requirement j)
-  else Q.to_string (Job.requirement j) ^ "*" ^ Q.to_string (Job.size j)
-
+(* Sized for a paper-style job such as "7/20 " in one allocation. *)
 let to_string t =
-  let buf = Buffer.create 256 in
+  let buf = Buffer.create (16 + (6 * total_jobs t)) in
   Array.iter
     (fun row ->
       Array.iteri
         (fun k j ->
           if k > 0 then Buffer.add_char buf ' ';
-          Buffer.add_string buf (job_to_string j))
+          Q.add_to_buffer buf (Job.requirement j);
+          if not (Job.is_unit_size j) then begin
+            Buffer.add_char buf '*';
+            Q.add_to_buffer buf (Job.size j)
+          end)
         row;
       Buffer.add_char buf '\n')
     t.procs;
   Buffer.contents buf
 
-let job_of_string s =
-  match String.index_opt s '*' with
-  | None -> Job.unit (Q.of_string s)
-  | Some i ->
-    let r = String.sub s 0 i in
-    let p = String.sub s (i + 1) (String.length s - i - 1) in
-    Job.make ~requirement:(Q.of_string r) ~size:(Q.of_string p)
+let rec star text i e = if i < e && text.[i] <> '*' then star text (i + 1) e else i
+
+(* A job token is [r] or [r*p], split at its first '*'. The size is read
+   before the requirement, so a token wrong on both sides reports the
+   size's error. *)
+let job_of_token text pos len =
+  let e = pos + len in
+  let k = star text pos e in
+  if k = e then Job.unit (Q.of_substring text pos len)
+  else begin
+    let size = Q.of_substring text (k + 1) (e - k - 1) in
+    let requirement = Q.of_substring text pos (k - pos) in
+    Job.make ~requirement ~size
+  end
 
 let of_string text =
-  let lines = String.split_on_char '\n' text in
-  let parse_line line =
-    let tokens =
-      String.split_on_char ' ' line
-      |> List.concat_map (String.split_on_char '\t')
-      |> List.filter (fun s -> s <> "")
-    in
-    Array.of_list (List.map job_of_string tokens)
-  in
-  let meaningful =
-    List.filter
-      (fun l ->
-        let l = String.trim l in
-        l <> "" && l.[0] <> '#')
-      lines
-  in
-  match meaningful with
-  | [] -> Error "Instance.of_string: no processor lines"
-  | lines -> (
-    try Ok (create (Array.of_list (List.map parse_line lines))) with
-    | Invalid_argument msg | Failure msg -> Error msg
-    | Division_by_zero -> Error "Instance.of_string: zero denominator")
+  match Text_rows.parse text job_of_token with
+  | [||] -> Error "Instance.of_string: no processor lines"
+  | procs -> Ok { procs }
+  | exception (Invalid_argument msg | Failure msg) -> Error msg
+  | exception Division_by_zero -> Error "Instance.of_string: zero denominator"
 
 let load path =
   try

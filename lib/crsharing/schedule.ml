@@ -2,14 +2,17 @@ module Q = Crs_num.Rational
 
 type t = { width : int; steps : Q.t array array }
 
-let of_rows rows =
+(* [rows] becomes the schedule's own matrix, uncopied. *)
+let of_fresh_rows rows =
   if Array.length rows = 0 then
     invalid_arg "Schedule.of_rows: empty matrix; use Schedule.empty";
   let width = Array.length rows.(0) in
   Array.iter
     (fun r -> if Array.length r <> width then invalid_arg "Schedule.of_rows: ragged rows")
     rows;
-  { width; steps = Array.map Array.copy rows }
+  { width; steps = rows }
+
+let of_rows rows = of_fresh_rows (Array.map Array.copy rows)
 
 let empty ~m =
   if m <= 0 then invalid_arg "Schedule.empty: m must be positive";
@@ -82,40 +85,26 @@ let pp fmt t =
   Format.fprintf fmt "@]"
 
 let to_string t =
-  let buf = Buffer.create 256 in
+  let buf = Buffer.create (16 + (6 * t.width * Array.length t.steps)) in
   Array.iter
     (fun row ->
       Array.iteri
         (fun i s ->
           if i > 0 then Buffer.add_char buf ' ';
-          Buffer.add_string buf (Q.to_string s))
+          Q.add_to_buffer buf s)
         row;
       Buffer.add_char buf '\n')
     t.steps;
   Buffer.contents buf
 
 let of_string text =
-  let lines =
-    String.split_on_char '\n' text
-    |> List.filter (fun l ->
-           let l = String.trim l in
-           l <> "" && l.[0] <> '#')
-  in
-  if lines = [] then Error "Schedule.of_string: no step lines"
-  else begin
-    try
-      let parse line =
-        String.split_on_char ' ' line
-        |> List.concat_map (String.split_on_char '\t')
-        |> List.filter (fun s -> s <> "")
-        |> List.map Q.of_string
-        |> Array.of_list
-      in
-      Ok (of_rows (Array.of_list (List.map parse lines)))
-    with
-    | Invalid_argument msg | Failure msg -> Error msg
-    | Division_by_zero -> Error "Schedule.of_string: zero denominator"
-  end
+  try
+    match Text_rows.parse text Q.of_substring with
+    | [||] -> Error "Schedule.of_string: no step lines"
+    | rows -> Ok (of_fresh_rows rows)
+  with
+  | Invalid_argument msg | Failure msg -> Error msg
+  | Division_by_zero -> Error "Schedule.of_string: zero denominator"
 
 let load path =
   try

@@ -14,7 +14,12 @@
    (forced-spill cases), and genuinely multi-limb values (the bigint
    tier). Results are fed back into the operand pool, so long chains of
    operations exercise the spill/renormalize transitions in both
-   directions. *)
+   directions.
+
+   Parsing gets the same treatment: generated spellings go through
+   [Rational.of_string] and through a reference parse that reads each
+   part with [Bigint.of_string], and the two must agree on the value and
+   its tier, or else on the exception and its message. *)
 
 module Q = Rational
 
@@ -65,6 +70,26 @@ module Ref = struct
 
   let to_int_opt a =
     if Bigint.equal a.den Bigint.one then Bigint.to_int_opt a.num else None
+
+  (* An integer or fraction spelling, read part by part: trim, reject a
+     bare sign, split at the first '/', trim each part. The denominator
+     is read first, as in [Rational]'s bigint parse, so a spelling wrong
+     in both parts raises the denominator's error. *)
+  let parse s =
+    let s = String.trim s in
+    if s = "" || s = "+" || s = "-" then
+      invalid_arg "Rational.of_string: empty or bare sign";
+    match String.index_opt s '/' with
+    | None -> norm (Bigint.of_string s) Bigint.one
+    | Some i ->
+      let part a b = Bigint.of_string (String.trim (String.sub s a (b - a))) in
+      let den = part (i + 1) (String.length s) in
+      let num = part 0 i in
+      norm num den
+
+  let fits_small a =
+    Bigint.compare_int (Bigint.abs a.num) Q.small_bound <= 0
+    && Bigint.compare_int a.den Q.small_bound <= 0
 end
 
 (* ---------- operand generation ---------- *)
@@ -106,18 +131,58 @@ let gen_pair st =
   while Bigint.is_zero !den do den := gen_bigint st done;
   (num, !den)
 
+(* Spellings of integers and fractions, biased toward where a
+   machine-int parse and the bigint parse could part ways: leading
+   zeros, signs on either part, 17-20 digit parts, parts beside the
+   small-tier bound and max_int, zero denominators, blanks around the
+   token and its parts, and the prefixes and separators [int_of_string]
+   accepts but [Natural.of_string] does not. *)
+let gen_part st =
+  let digits n =
+    String.init n (fun _ -> Char.chr (48 + Random.State.int st 10))
+  in
+  let edge = Random.State.int st 3 - 1 in
+  let body =
+    match Random.State.int st 10 with
+    | 0 | 1 -> string_of_int (Random.State.int st 1000)
+    | 2 -> String.make (1 + Random.State.int st 3) '0' ^ string_of_int (Random.State.int st 1000)
+    | 3 -> digits (17 + Random.State.int st 4)
+    | 4 -> string_of_int (Q.small_bound + edge)
+    | 5 ->
+      (* max_int - 1, max_int and max_int + 1 = 4611686018427387904 *)
+      if edge < 1 then string_of_int (max_int + edge) else "4611686018427387904"
+    | 6 -> String.make (Random.State.int st 3) '0'
+    | 7 -> [| "0x1F"; "0b1"; "0o7"; "1_000"; "0u1"; "1e3"; "1 0"; "x"; "" |].(Random.State.int st 9)
+    | _ -> string_of_int (1 + Random.State.int st 24)
+  in
+  let sign = [| ""; ""; ""; "-"; "+"; "--" |].(Random.State.int st 6) in
+  sign ^ body
+
+let gen_spelling st =
+  let blank () =
+    [| ""; ""; ""; " "; "\t"; "\r"; "\012"; "\n"; " \t\r\012 " |].(Random.State.int st 9)
+  in
+  let token =
+    if Random.State.int st 4 = 0 then gen_part st
+    else if Random.State.int st 8 = 0 then gen_part st ^ blank () ^ "/" ^ blank () ^ gen_part st
+    else gen_part st ^ "/" ^ gen_part st
+  in
+  blank () ^ token ^ blank ()
+
 (* ---------- the differential run ---------- *)
 
-type outcome = { ops : int; mismatches : string list }
+type outcome = { ops : int; spellings : int; mismatches : string list }
 
 let ok outcome = outcome.mismatches = []
 
 let describe outcome =
   match outcome.mismatches with
-  | [] -> Printf.sprintf "ok (%d ops, 0 mismatches)" outcome.ops
+  | [] ->
+    Printf.sprintf "ok (%d ops, %d spellings, 0 mismatches)" outcome.ops
+      outcome.spellings
   | ms ->
-    Printf.sprintf "%d mismatches in %d ops; first: %s" (List.length ms)
-      outcome.ops (List.hd ms)
+    Printf.sprintf "%d mismatches in %d ops and %d spellings; first: %s"
+      (List.length ms) outcome.ops outcome.spellings (List.hd ms)
 
 let binary_ops = [| "add"; "sub"; "mul"; "div"; "min"; "max" |]
 let unary_ops = [| "neg"; "abs"; "inv" |]
@@ -222,7 +287,22 @@ let run ?(ops = 10_000) ~seed () =
           (Q.to_string x) (Q.to_string y)
     end
   done;
-  { ops; mismatches = List.rev !mismatches }
+  let spellings = ops / 2 in
+  for _ = 1 to spellings do
+    let s = gen_spelling st in
+    let result f = match f s with v -> Ok v | exception e -> Error (Printexc.to_string e) in
+    match (result Q.of_string, result Ref.parse) with
+    | Ok x, Ok r ->
+      if not (String.equal (Q.to_string x) (Ref.to_string r)) then
+        report "parse %S: value %s, reference %s" s (Q.to_string x) (Ref.to_string r)
+      else if Q.is_small x <> Ref.fits_small r || not (Q.is_canonical x) then
+        report "parse %S: %s in the wrong tier" s (Q.to_string x)
+    | Error e, Error e' when String.equal e e' -> ()
+    | Ok x, Error e -> report "parse %S: %s, reference raises %s" s (Q.to_string x) e
+    | Error e, Ok r -> report "parse %S: raises %s, reference %s" s e (Ref.to_string r)
+    | Error e, Error e' -> report "parse %S: raises %s, reference raises %s" s e e'
+  done;
+  { ops; spellings; mismatches = List.rev !mismatches }
 
 let run_exn ?ops ~seed () =
   let outcome = run ?ops ~seed () in

@@ -12,11 +12,14 @@
     Used by the tier-1 test suite (so a representation regression fails
     [dune runtest]) and by [bench num --check]. *)
 
-type outcome = { ops : int; mismatches : string list }
+type outcome = { ops : int; spellings : int; mismatches : string list }
 
 val run : ?ops:int -> seed:int -> unit -> outcome
-(** [run ~ops ~seed ()] samples [ops] operations (default 10_000)
-    deterministically from [seed] and returns every mismatch found. *)
+(** [run ~ops ~seed ()] samples [ops] operations (default 10_000) and
+    [ops / 2] integer and fraction spellings deterministically from
+    [seed], and returns every mismatch found. A spelling's parse is
+    compared with a reference that reads each part with
+    {!Bigint.of_string}: value and tier, or exception and message. *)
 
 val run_exn : ?ops:int -> seed:int -> unit -> outcome
 (** Like {!run}. @raise Failure on the first mismatching outcome. *)

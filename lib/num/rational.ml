@@ -309,15 +309,35 @@ let to_float = function
       let magnitude = mn /. md *. (10.0 ** float_of_int (en - ed)) in
       if Bigint.sign num < 0 then -.magnitude else magnitude)
 
-let to_string = function
-  | S { p; q } ->
-    if q = 1 then string_of_int p
-    else string_of_int p ^ "/" ^ string_of_int q
-  | B { num; den } ->
-    if Bigint.equal den Bigint.one then Bigint.to_string num
-    else Bigint.to_string num ^ "/" ^ Bigint.to_string den
+(* The one renderer: a small-tier value's digits go straight into the
+   buffer, with no intermediate strings. *)
+let rec add_digits buf n =
+  if n >= 10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
 
-let of_string s =
+let add_to_buffer buf = function
+  | S { p; q } ->
+    if p < 0 then Buffer.add_char buf '-';
+    add_digits buf (Stdlib.abs p);
+    if q <> 1 then begin
+      Buffer.add_char buf '/';
+      add_digits buf q
+    end
+  | B { num; den } ->
+    Buffer.add_string buf (Bigint.to_string num);
+    if not (Bigint.equal den Bigint.one) then begin
+      Buffer.add_char buf '/';
+      Buffer.add_string buf (Bigint.to_string den)
+    end
+
+let to_string t =
+  let buf = Buffer.create 16 in
+  add_to_buffer buf t;
+  Buffer.contents buf
+
+(* The bigint parse: every spelling the machine-int path below does not
+   take, and the reference that path must agree with. *)
+let of_string_big s =
   let s = String.trim s in
   if String.equal s "" || String.equal s "+" || String.equal s "-" then
     invalid_arg "Rational.of_string: empty or bare sign";
@@ -352,6 +372,48 @@ let of_string s =
             (Bigint.of_natural (Natural.pow (Natural.of_int 10) digits))
       in
       add int_val (mul sign_factor (abs frac_val)))
+
+(* [String.trim]'s blanks, so both parses see the same token. *)
+let is_blank = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
+
+let rec digits_end s i j =
+  if i < j && (match String.unsafe_get s i with '0' .. '9' -> true | _ -> false)
+  then digits_end s (i + 1) j
+  else i
+
+let rec digits_value s i j acc =
+  if i = j then acc
+  else digits_value s (i + 1) j ((10 * acc) + Char.code (String.unsafe_get s i) - 48)
+
+(* A part of the machine-int path: 1 to 18 digits, so its value is below
+   10^18 < max_int. *)
+let int_part a b = b > a && b - a <= 18
+
+(* [-]digits[/digits] within blanks, each part [int_part], is read on
+   machine ints and normalised by [norm_ints]: the same value, tier and
+   exceptions as the bigint parse. Every other spelling -- '+', a sign
+   on the denominator, decimals, blanks inside, longer parts, anything
+   malformed -- goes to [of_string_big] unchanged. Only '0'..'9' count
+   as digits: [int_of_string] would also take 0x1F, 0b1, 0o7 and
+   1_000, which the bigint parse rejects. *)
+let of_substring s pos len =
+  if pos < 0 || len < 0 || pos > String.length s - len then
+    invalid_arg "Rational.of_substring";
+  let i = ref pos and j = ref (pos + len) in
+  while !i < !j && is_blank (String.unsafe_get s !i) do incr i done;
+  while !j > !i && is_blank (String.unsafe_get s (!j - 1)) do decr j done;
+  let i = !i and j = !j in
+  let a = if i < j && String.unsafe_get s i = '-' then i + 1 else i in
+  let b = digits_end s a j in
+  let d = if b < j && String.unsafe_get s b = '/' then digits_end s (b + 1) j else b in
+  if int_part a b && d = j && (d = b || int_part (b + 1) d) then begin
+    let p = digits_value s a b 0 in
+    let p = if a > i then -p else p in
+    if d = b then of_int p else norm_ints p (digits_value s (b + 1) d 0)
+  end
+  else of_string_big (String.sub s pos len)
+
+let of_string s = of_substring s 0 (String.length s)
 
 let pp fmt t = Format.pp_print_string fmt (to_string t)
 

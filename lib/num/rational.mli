@@ -30,7 +30,16 @@ val of_ints : int -> int -> t
 (** [of_ints p q] is [p/q]. @raise Division_by_zero if [q = 0]. *)
 
 val of_string : string -> t
-(** Accepts ["p"], ["p/q"] and decimal notation ["1.25"]. *)
+(** Accepts ["p"], ["p/q"] and decimal notation ["1.25"], within blanks.
+    [\[-\]digits\[/digits\]] with at most 18 digits a part is read on
+    machine ints; every other spelling goes through the bigint parse.
+    @raise Invalid_argument on a malformed spelling.
+    @raise Division_by_zero on a zero denominator. *)
+
+val of_substring : string -> int -> int -> t
+(** [of_substring s pos len] is [of_string (String.sub s pos len)]
+    without the copy when the machine-int path takes the token.
+    @raise Invalid_argument also when the range is not within [s]. *)
 
 (** {1 Deconstruction} *)
 
@@ -39,6 +48,11 @@ val den : t -> Bigint.t
 (** Always positive. *)
 
 val to_string : t -> string
+
+val add_to_buffer : Buffer.t -> t -> unit
+(** Appends [to_string t] to the buffer; small-tier digits are written
+    in place. *)
+
 val pp : Format.formatter -> t -> unit
 
 val to_float : t -> float

@@ -6,20 +6,34 @@
 
 (* ---- encoding ---- *)
 
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
+let rec plain_end s i n =
+  if i < n && not (needs_escape (String.unsafe_get s i)) then plain_end s (i + 1) n else i
+
+(* Unescaped runs are copied whole, and a string with nothing to escape
+   is returned as is. *)
 let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+  let n = String.length s in
+  if plain_end s 0 n = n then s
+  else begin
+    let buf = Buffer.create (n + 8) in
+    let rec go i =
+      let j = plain_end s i n in
+      Buffer.add_substring buf s i (j - i);
+      if j < n then begin
+        (match s.[j] with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c)));
+        go (j + 1)
+      end
+    in
+    go 0;
+    Buffer.contents buf
+  end
 
 let str s = "\"" ^ escape s ^ "\""
 let str_opt = function None -> "null" | Some s -> str s
@@ -70,40 +84,50 @@ let parse text =
       | Some code -> (code, i + 4)
       | None -> fail i "bad \\u escape"
   in
+  (* Unescaped runs are copied whole; a string with no escape is one
+     [String.sub]. *)
+  let rec run_end j =
+    if j < n && (match text.[j] with '"' | '\\' -> false | c -> Char.code c >= 0x20)
+    then run_end (j + 1)
+    else j
+  in
   let parse_string i =
     let i = expect i '"' in
-    let buf = Buffer.create 16 in
-    let rec go i =
-      if i >= n then fail i "unterminated string"
-      else
-        match text.[i] with
-        | '"' -> (Buffer.contents buf, i + 1)
-        | '\\' ->
-          if i + 1 >= n then fail i "dangling escape"
-          else (
-            match text.[i + 1] with
-            | '"' -> Buffer.add_char buf '"'; go (i + 2)
-            | '\\' -> Buffer.add_char buf '\\'; go (i + 2)
-            | '/' -> Buffer.add_char buf '/'; go (i + 2)
-            | 'b' -> Buffer.add_char buf '\b'; go (i + 2)
-            | 'f' -> Buffer.add_char buf '\012'; go (i + 2)
-            | 'n' -> Buffer.add_char buf '\n'; go (i + 2)
-            | 'r' -> Buffer.add_char buf '\r'; go (i + 2)
-            | 't' -> Buffer.add_char buf '\t'; go (i + 2)
-            | 'u' ->
-              let code, j = parse_hex4 (i + 2) in
-              (* Control-character escapes are all this module writes;
-                 anything beyond Latin-1 would need UTF-8 encoding. *)
-              if code < 0x100 then Buffer.add_char buf (Char.chr code)
-              else fail i "\\u escape beyond Latin-1 unsupported";
-              go j
-            | c -> fail i (Printf.sprintf "unsupported escape \\%c" c))
-        | c when Char.code c < 0x20 -> fail i "raw control character in string"
-        | c ->
-          Buffer.add_char buf c;
-          go (i + 1)
-    in
-    go i
+    let j = run_end i in
+    if j < n && text.[j] = '"' then (String.sub text i (j - i), j + 1)
+    else begin
+      let buf = Buffer.create (2 * (j - i) + 16) in
+      let rec go i =
+        let j = run_end i in
+        Buffer.add_substring buf text i (j - i);
+        if j >= n then fail j "unterminated string"
+        else
+          match text.[j] with
+          | '"' -> (Buffer.contents buf, j + 1)
+          | '\\' ->
+            if j + 1 >= n then fail j "dangling escape"
+            else (
+              match text.[j + 1] with
+              | '"' -> Buffer.add_char buf '"'; go (j + 2)
+              | '\\' -> Buffer.add_char buf '\\'; go (j + 2)
+              | '/' -> Buffer.add_char buf '/'; go (j + 2)
+              | 'b' -> Buffer.add_char buf '\b'; go (j + 2)
+              | 'f' -> Buffer.add_char buf '\012'; go (j + 2)
+              | 'n' -> Buffer.add_char buf '\n'; go (j + 2)
+              | 'r' -> Buffer.add_char buf '\r'; go (j + 2)
+              | 't' -> Buffer.add_char buf '\t'; go (j + 2)
+              | 'u' ->
+                let code, k = parse_hex4 (j + 2) in
+                (* Control-character escapes are all this module writes;
+                   anything beyond Latin-1 would need UTF-8 encoding. *)
+                if code < 0x100 then Buffer.add_char buf (Char.chr code)
+                else fail j "\\u escape beyond Latin-1 unsupported";
+                go k
+              | c -> fail j (Printf.sprintf "unsupported escape \\%c" c))
+          | _ -> fail j "raw control character in string"
+      in
+      go i
+    end
   in
   let parse_number i =
     let stop = ref i in

@@ -337,7 +337,8 @@ let words_per_job = 16.0
 (* 6 000 jobs of 1/4 against 6 000 of 1/2: every step finishes both
    jobs, so the DP walks the diagonal and a budget of 100 runs dry at
    the 101st cell. The words spent must follow the input and the fuel,
-   not the 36 M cells of the grid. *)
+   not the 36 M cells of the grid, for [Opt_two] and for the Pareto
+   audit alike. *)
 let test_memory_follows_fuel () =
   Crs_obs.Metrics.set_enabled false;
   Crs_obs.Trace.set_enabled false;
@@ -345,16 +346,19 @@ let test_memory_follows_fuel () =
   let i =
     Instance.of_requirements [| Array.make n (Q.of_ints 1 4); Array.make n (Q.of_ints 1 2) |]
   in
-  let optimal = Crs_algorithms.Registry.find_exn Crs_algorithms.Registry.Names.optimal in
-  let out, spent = words (fun () -> Crs_algorithms.Registry.run ~fuel:100 optimal i) in
-  (match out with
-  | Error (Crs_algorithms.Registry.Timeout ticks) ->
-    Alcotest.(check int) "timeout reports budget + 1" 101 ticks
-  | _ -> Alcotest.fail "fuel 100 must time out");
-  let budget = words_per_job *. float_of_int (2 * n) in
-  Alcotest.(check bool)
-    (Printf.sprintf "%.0f words <= %.0f (n1 + n2 = %d)" spent budget (2 * n))
-    true (spent <= budget)
+  let module R = Crs_algorithms.Registry in
+  List.iter
+    (fun name ->
+      let out, spent = words (fun () -> R.run ~fuel:100 (R.find_exn name) i) in
+      (match out with
+      | Error (R.Timeout ticks) ->
+        Alcotest.(check int) (name ^ ": timeout reports budget + 1") 101 ticks
+      | _ -> Alcotest.failf "%s: fuel 100 must time out" name);
+      let budget = words_per_job *. float_of_int (2 * n) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.0f words <= %.0f (n1 + n2 = %d)" name spent budget (2 * n))
+        true (spent <= budget))
+    [ R.Names.optimal; R.Names.opt_two_pareto ]
 
 (* The same bound on full makespan solves of Figure 3, whose reachable
    cells grow as n^2 while the words must grow as n. *)

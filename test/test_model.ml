@@ -114,6 +114,87 @@ let test_schedule_serialization () =
   Alcotest.(check bool) "ragged is error" true
     (Result.is_error (Schedule.of_string "1/2\n1/2 1/2"))
 
+(* Generated instance/schedule texts, each parsed both ways; the outcome
+   is the [to_string] of the result or the error message. The texts mix
+   the spellings the text layer must keep apart: tabs, CR line ends,
+   comments, blank lines, sizes, decimals, parts past the machine-int
+   range and malformed tokens. The digest was taken from the bigint-only
+   parser and printer, so any change in a value, a byte or a message
+   shows here. *)
+let text_token st ~clean =
+  let int n = Random.State.int st n in
+  let pick a = a.(int (Array.length a)) in
+  let digits n = String.init n (fun k -> Char.chr (48 + if k = 0 then 1 + int 9 else int 10)) in
+  let fraction () =
+    let q = 1 + int 24 in
+    Printf.sprintf "%d/%d" (int (q + 1)) q
+  in
+  match int (if clean then 9 else 14) with
+  | 0 | 1 | 2 | 3 -> fraction ()
+  | 4 -> pick [| "0"; "1"; "-0"; "00"; "007/20"; "1/02"; "0/5"; "4/4"; "0.25"; ".5"; "1."; "." |]
+  | 5 -> fraction () ^ "*" ^ pick [| "2"; "3/2"; "1"; "1.5"; "12345678901234567890" |]
+  | 6 -> digits (1 + int 3) ^ "/" ^ digits (4 + int 18)
+  | 7 ->
+    let k = 8 + int 12 in
+    digits k ^ "/" ^ digits (k + 1 + int 4)
+  | 8 -> pick [| "2147483647/2147483648"; "2147483648/4294967296"; "999999999999999999/1000000000000000000" |]
+  | 9 -> pick [| "2"; "-1"; "-0.5"; "1.2.3"; "0.333333333333333333333"; "+.5"; "-." |]
+  | 10 -> fraction () ^ "*" ^ pick [| "0"; "-1"; ""; "1/0"; "x"; "*2" |]
+  | 11 -> (if int 2 = 0 then "-" else "") ^ digits (16 + int 6)
+  | _ ->
+    pick
+      [|
+        "/"; "1/"; "/2"; "1//2"; "x"; "#"; "#1"; "1/0"; "0/0"; "-0/0"; "0x1F"; "0b1"; "0o7";
+        "1_000"; "+1/2"; "1/+2"; "1/-2"; "-1/2"; "-1/-2"; "*"; "1/2*"; "*2"; "1*2*3"; "1/2\r";
+        "\r"; "\012"; "+"; "-"; "--1"; "1e3"; "1/2/3"; "\r1/3"; "1/2\0121"; "1 /2";
+        "4611686018427387903/4611686018427387904"; "9223372036854775807"; "x*1/0"; "1/0*x";
+        "-1*0"; "2*-1"; "1/2 *2"; "0.5*0.5";
+      |]
+
+let text_sample st =
+  let int n = Random.State.int st n in
+  let pick a = a.(int (Array.length a)) in
+  let clean = int 2 = 0 in
+  let buf = Buffer.create 128 in
+  let width = 1 + int 4 in
+  for _ = 0 to int 5 do
+    (match int 10 with
+    | 0 -> Buffer.add_string buf (pick [| "# comment"; "  # indented"; "#"; "\t#x 1/0" |])
+    | 1 -> Buffer.add_string buf (pick [| ""; "   "; "\t"; " \t "; "\012" |])
+    | _ ->
+      if int 4 = 0 then Buffer.add_string buf (pick [| " "; "\t"; "  " |]);
+      let n = if int 4 = 0 then 1 + int 5 else width in
+      for k = 1 to n do
+        if k > 1 then Buffer.add_string buf (pick [| " "; " "; "  "; "\t"; " \t " |]);
+        Buffer.add_string buf (text_token st ~clean)
+      done;
+      if int 5 = 0 then Buffer.add_string buf (pick [| " "; "\t"; " \r" |]));
+    Buffer.add_string buf (pick [| "\n"; "\n"; "\r\n" |])
+  done;
+  if int 4 = 0 then Buffer.truncate buf (Buffer.length buf - 1);
+  Buffer.contents buf
+
+let text_outcomes_digest = "558020526e448e8beb0273cb811184dd"
+
+let test_text_outcomes_digest () =
+  let st = Random.State.make [| 1729 |] in
+  let buf = Buffer.create (1 lsl 20) in
+  let outcome to_string = function
+    | Ok v -> "ok " ^ to_string v
+    | Error msg -> "error " ^ msg
+  in
+  let oks = ref 0 in
+  for k = 1 to 4000 do
+    let text = text_sample st in
+    let i = Instance.of_string text and s = Schedule.of_string text in
+    if Result.is_ok i then incr oks;
+    Printf.bprintf buf "%d\n%s\n%s\n" k (outcome Instance.to_string i)
+      (outcome Schedule.to_string s)
+  done;
+  Alcotest.(check bool) (Printf.sprintf "%d of 4000 instances parse" !oks) true (!oks >= 1000);
+  Alcotest.(check string) "4000 texts: instance and schedule outcomes" text_outcomes_digest
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let test_schedule_feasibility () =
   let ok = Helpers.schedule_of_strings [ [ "1/2"; "1/2" ]; [ "1"; "0" ] ] in
   Alcotest.(check bool) "feasible" true (Result.is_ok (Schedule.check_feasible ok));
@@ -246,4 +327,6 @@ let suite =
       test_active_jobs_and_remaining;
     prop_alternative_interpretation;
     prop_unused_capacity_consistent;
+    Alcotest.test_case "text: parse outcomes pinned to a digest" `Quick
+      test_text_outcomes_digest;
   ]

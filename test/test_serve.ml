@@ -147,6 +147,57 @@ let test_protocol_campaign_cap () =
   Alcotest.(check bool) "oversized campaign rejected with cap" true
     (Helpers.contains ~needle:"cap" msg)
 
+(* Minor words per job of the text path on exact-cold-shaped requests
+   (m = 2, 60-120 jobs per processor on a 1/20 grid, witness on): the
+   request parse, JSON string included, and the printer behind
+   [Canon.key] and the witness encoding. On these inputs the bigint-path
+   parser spent 116.2 words per job and the string-concatenating printer
+   9.7. *)
+let text_words_per_job f inputs =
+  let words = ref 0.0 and jobs = ref 0 in
+  List.iter
+    (fun (x, n) ->
+      let w0 = Gc.minor_words () in
+      ignore (Sys.opaque_identity (f x));
+      words := !words +. (Gc.minor_words () -. w0);
+      jobs := !jobs + n)
+    inputs;
+  !words /. float_of_int !jobs
+
+let test_text_alloc_budget () =
+  let spec =
+    { Crs_generators.Random_gen.m = 2; jobs_min = 60; jobs_max = 120; granularity = 20;
+      allow_zero = false }
+  in
+  let st = Random.State.make [| 4242 |] in
+  let instances = List.init 20 (fun _ -> Crs_generators.Random_gen.instance ~spec st) in
+  let line i =
+    J.obj
+      [
+        ("proto", J.str Protocol.version);
+        ("kind", J.str "solve");
+        ("instance", J.str (Instance.to_string i));
+        ("algorithm", J.str R.Names.optimal);
+        ("witness", J.bool true);
+      ]
+  in
+  let lines = List.map (fun i -> (line i, Instance.total_jobs i)) instances in
+  List.iter
+    (fun (l, _) ->
+      match parse_ok l with Protocol.Solve _ -> () | _ -> Alcotest.fail "expected Solve")
+    lines;
+  let parse = text_words_per_job Protocol.parse lines in
+  Alcotest.(check bool)
+    (Printf.sprintf "Protocol.parse: %.1f minor words per job <= 24" parse)
+    true (parse <= 24.0);
+  let print =
+    text_words_per_job Instance.to_string
+      (List.map (fun i -> (i, Instance.total_jobs i)) instances)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "Instance.to_string: %.1f minor words per job <= 4" print)
+    true (print <= 4.0)
+
 (* ---- server batches (deterministic, no sockets) ---- *)
 
 let with_server config f =
@@ -1071,4 +1122,6 @@ let suite =
         `Quick test_warm_roundtrip_byte_identity;
       Alcotest.test_case "warm: malformed files rejected with cause" `Quick
         test_warm_bad_files;
+      Alcotest.test_case "protocol: text path minor words per job" `Quick
+        test_text_alloc_budget;
     ]
