@@ -192,7 +192,7 @@ let exp_f5 () =
 
 let exp_t5 () =
   banner "t5" "OptResAssignment (Theorem 5)"
-    "optimal for m=2, O(n^2) time; the PQ variant visits fewer states";
+    "optimal for m=2, O(n^2) time; expanding only reachable states visits fewer";
   let st = Random.State.make [| 505 |] in
   let agree = ref 0 in
   let trials = 100 in
@@ -204,27 +204,28 @@ let exp_t5 () =
     then incr agree
   done;
   Printf.printf "agreement with brute force: %d/%d\n\n" !agree trials;
+  (* The sweep visits each level's reached span in level order, a
+     bucket queue keyed by i1 + i2: the paper's closing priority-queue
+     suggestion. Reached states against the full table's. *)
   let rows =
     List.map
       (fun n ->
         let instance = Helpers_bench.random_two_proc ~n st 0 in
-        let ms, dt_arr = H.time (fun () -> Crs_algorithms.Opt_two.makespan instance) in
-        let pq, dt_pq = H.time (fun () -> Crs_algorithms.Opt_two_pq.run instance) in
-        assert (ms = pq.Crs_algorithms.Opt_two_pq.makespan);
-        let expanded = pq.Crs_algorithms.Opt_two_pq.expanded in
+        let sol, dt = H.time (fun () -> Crs_algorithms.Opt_two.solve instance) in
+        let reached = sol.counters.cells_expanded and table = (n + 1) * (n + 1) in
         [
           string_of_int n;
-          string_of_int ms;
-          Printf.sprintf "%.1f" (dt_arr *. 1000.);
-          Printf.sprintf "%.1f" (dt_pq *. 1000.);
-          Printf.sprintf "%d" ((n + 1) * (n + 1));
-          string_of_int expanded;
+          string_of_int sol.makespan;
+          Printf.sprintf "%.1f" (dt *. 1000.);
+          string_of_int table;
+          string_of_int reached;
+          Printf.sprintf "%.1f" (100. *. float_of_int reached /. float_of_int table);
         ])
       [ 25; 50; 100; 200; 400 ]
   in
   print_string
     (T.render
-       ~header:[ "n per proc"; "OPT"; "array ms"; "pq ms"; "table states"; "pq states" ]
+       ~header:[ "n per proc"; "OPT"; "ms"; "table states"; "reached states"; "reached %" ]
        rows);
   (* Lemma 3 audit: how large do Pareto frontiers get when we refuse to
      collapse each cell to the lexicographic best pair? *)
@@ -642,7 +643,7 @@ let exp_mr () =
 
 let exp_ablation () =
   banner "ablation" "design-choice ablations"
-    "tie-breaking in GreedyBalance; PQ vs table DP; domination pruning (see t5/t6)";
+    "tie-breaking in GreedyBalance; reached vs table states; domination pruning (see t5/t6)";
   let st = Random.State.make [| 808 |] in
   let variants : (string * Policy.t) list =
     [
@@ -1109,62 +1110,37 @@ let exp_obs ?(mode = `Run) () =
       (enabled_overhead *. 100.);
     assert gate_met
 
-(* ---------- dp: flat-state DP kernels vs frozen boxed baselines ---------- *)
+(* ---------- dp: flat-state DP kernels ---------- *)
 
 let exp_dp ?(mode = `Run) () =
   banner "dp" "flat-state DP kernels (Opt_two / Opt_config)"
-    "gate: >= 2x end-to-end on the Figure-3 family for BOTH kernels vs the \
-     frozen pre-rewrite boxed kernels vendored into this binary \
-     (bench/legacy); results byte-compared first, so the speedup is over \
-     identical answers";
-  let module L2 = Crs_legacy.Legacy_opt_two in
-  let module LC = Crs_legacy.Legacy_opt_config in
+    "full solves on the Figure-3 family: time, work counters and words per \
+     solve; tier-1 pins answers, counters and witnesses to digests and holds \
+     the words to budgets";
   let two_n, cfg_n, cfg_iters, reps =
     match mode with `Run -> (1200, 400, 20, 9) | `Smoke -> (60, 40, 2, 3)
   in
   let fig3_two = A.round_robin_family ~n:two_n in
   let fig3_cfg = A.round_robin_family ~n:cfg_n in
-  (* Parity before speed: the ratio is only meaningful over identical
-     answers. Opt_two must agree byte-for-byte including counters;
-     Opt_config must agree on makespan, generated count and layer
-     profile (survivor order is canonical in the flat kernel where the
-     legacy one inherited hashtable iteration order, so the witness
-     schedule may differ — both must certify). *)
-  let s_new = Crs_algorithms.Opt_two.solve fig3_two in
-  let s_old = L2.solve fig3_two in
-  assert (s_new.Crs_algorithms.Opt_two.makespan = s_old.L2.makespan);
-  assert (Schedule.equal s_new.schedule s_old.schedule);
-  assert (
-    s_new.counters.Crs_algorithms.Opt_two.cells_expanded
-    = s_old.L2.counters.L2.cells_expanded);
-  assert (
-    s_new.counters.Crs_algorithms.Opt_two.relaxations
-    = s_old.L2.counters.L2.relaxations);
-  let c_new = Crs_algorithms.Opt_config.solve fig3_cfg in
-  let c_old = LC.solve fig3_cfg in
-  assert (c_new.Crs_algorithms.Opt_config.makespan = c_old.LC.makespan);
-  assert (
-    c_new.stats.Crs_algorithms.Opt_config.generated = c_old.LC.stats.LC.generated);
-  assert (c_new.stats.Crs_algorithms.Opt_config.layers = c_old.LC.stats.LC.layers);
-  (match
-     Crs_fuzz.Certify.check fig3_cfg c_new.schedule
-       ~claimed:c_new.Crs_algorithms.Opt_config.makespan
-   with
-  | Ok _ -> ()
-  | Error msg -> failwith msg);
-  (match
-     Crs_fuzz.Certify.check fig3_cfg c_old.LC.schedule ~claimed:c_old.LC.makespan
-   with
-  | Ok _ -> ()
-  | Error msg -> failwith msg);
+  (* Answers before speed: Figure 3's optimum is n + 1, and both
+     witnesses must certify. *)
+  let s_two = Crs_algorithms.Opt_two.solve fig3_two in
+  let c_cfg = Crs_algorithms.Opt_config.solve fig3_cfg in
+  List.iter
+    (fun (n, instance, schedule, makespan) ->
+      assert (makespan = n + 1);
+      match Crs_fuzz.Certify.check instance schedule ~claimed:makespan with
+      | Ok _ -> ()
+      | Error msg -> failwith msg)
+    [
+      (two_n, fig3_two, s_two.schedule, s_two.makespan);
+      (cfg_n, fig3_cfg, c_cfg.schedule, c_cfg.makespan);
+    ];
   Printf.printf
-    "parity: opt_two schedules byte-identical, counters (%d cells, %d \
-     relaxations) equal; opt_config generated %d and %d layers equal, both \
-     witnesses certified\n"
-    s_new.counters.Crs_algorithms.Opt_two.cells_expanded
-    s_new.counters.Crs_algorithms.Opt_two.relaxations
-    c_new.stats.Crs_algorithms.Opt_config.generated
-    (List.length c_new.stats.Crs_algorithms.Opt_config.layers);
+    "opt_two %d cells, %d relaxations; opt_config generated %d over %d \
+     layers; both witnesses certified\n"
+    s_two.counters.cells_expanded s_two.counters.relaxations c_cfg.stats.generated
+    (List.length c_cfg.stats.layers);
   (* Allocation beside time: Opt_config minor words per solve, on the
      Figure-3 instance and averaged over seeds 1-50 of perfbench's
      campaign-sweep family (uniform, m = 3, n = 6, granularity 10).
@@ -1176,26 +1152,21 @@ let exp_dp ?(mode = `Run) () =
           { Crs_campaign.Spec.default with m = 3; n = 6; granularity = 10 }
           ~seed:(k + 1))
   in
-  let mean_words solve instances =
-    List.fold_left (fun w i -> w +. H.minor_words (fun () -> solve i)) 0.0 instances
+  let mean count solve instances =
+    List.fold_left (fun w i -> w +. count (fun () -> solve i)) 0.0 instances
     /. float_of_int (List.length instances)
   in
-  let flat_solve i = Crs_algorithms.Opt_config.solve i
-  and legacy_solve i = LC.solve i in
-  let fig3_words_flat = mean_words flat_solve [ fig3_cfg ]
-  and fig3_words_legacy = mean_words legacy_solve [ fig3_cfg ]
-  and sweep_words_flat = mean_words flat_solve sweep
-  and sweep_words_legacy = mean_words legacy_solve sweep in
+  let cfg_solve = Crs_algorithms.Opt_config.solve in
+  let fig3_words = mean H.minor_words cfg_solve [ fig3_cfg ]
+  and sweep_words = mean H.minor_words cfg_solve sweep in
   Printf.printf
-    "opt_config minor words per solve: fig3 n=%d flat %.0f legacy %.0f; \
-     uniform m=3 n=6 seeds 1-%d flat %.0f legacy %.0f\n"
-    cfg_n fig3_words_flat fig3_words_legacy sweep_seeds sweep_words_flat
-    sweep_words_legacy;
+    "opt_config minor words per solve: fig3 n=%d %.0f; uniform m=3 n=6 seeds \
+     1-%d %.0f\n"
+    cfg_n fig3_words sweep_seeds sweep_words;
   (* Opt_two's words per solve, on the Figure-3 instance and averaged
      over seeds 1-50 of perfbench exact-cold's m = 2 family (60-120 jobs
-     per processor, granularity 20). Both kernels allocate their large
-     arrays straight into the major heap, so these count those words
-     too, not only minor ones. *)
+     per processor, granularity 20), counting the blocks allocated
+     straight into the major heap as well as minor words. *)
   let cold_spec =
     { Crs_generators.Random_gen.m = 2; jobs_min = 60; jobs_max = 120; granularity = 20;
       allow_zero = false }
@@ -1205,80 +1176,39 @@ let exp_dp ?(mode = `Run) () =
         Crs_generators.Random_gen.instance ~spec:cold_spec
           (Random.State.make [| k + 1 |]))
   in
-  let mean_all_words solve instances =
-    List.fold_left (fun w i -> w +. H.words (fun () -> solve i)) 0.0 instances
-    /. float_of_int (List.length instances)
-  in
-  let two_flat i = Crs_algorithms.Opt_two.solve i and two_legacy i = L2.solve i in
-  let two_fig3_words_flat = mean_all_words two_flat [ fig3_two ]
-  and two_fig3_words_legacy = mean_all_words two_legacy [ fig3_two ]
-  and two_cold_words_flat = mean_all_words two_flat cold
-  and two_cold_words_legacy = mean_all_words two_legacy cold in
+  let two_solve = Crs_algorithms.Opt_two.solve in
+  let two_fig3_words = mean H.words two_solve [ fig3_two ]
+  and two_cold_words = mean H.words two_solve cold in
   Printf.printf
-    "opt_two words per solve (minor + direct major): fig3 n=%d flat %.0f \
-     legacy %.0f; exact-cold m=2 seeds 1-%d flat %.0f legacy %.0f\n"
-    two_n two_fig3_words_flat two_fig3_words_legacy sweep_seeds
-    two_cold_words_flat two_cold_words_legacy;
-  (* Paired reps, flat first on even reps; the speedup is the median
-     legacy/flat ratio. *)
-  let two =
-    H.paired ~warmups:1 ~reps
-      (fun () -> Crs_algorithms.Opt_two.solve fig3_two)
-      (fun () -> L2.solve fig3_two)
-  in
-  let cfg =
-    H.paired ~warmups:1 ~reps
-      (fun () ->
+    "opt_two words per solve (minor + direct major): fig3 n=%d %.0f; \
+     exact-cold m=2 seeds 1-%d %.0f\n"
+    two_n two_fig3_words sweep_seeds two_cold_words;
+  let two_s = H.best_of ~reps (fun () -> Crs_algorithms.Opt_two.solve fig3_two) in
+  let cfg_s =
+    H.best_of ~reps (fun () ->
         for _ = 1 to cfg_iters do
           ignore (Sys.opaque_identity (Crs_algorithms.Opt_config.solve fig3_cfg))
         done)
-      (fun () ->
-        for _ = 1 to cfg_iters do
-          ignore (Sys.opaque_identity (LC.solve fig3_cfg))
-        done)
   in
-  List.iter
-    (fun (name, (p : H.paired)) ->
-      Printf.printf "%-36s flat %.3fs legacy %.3fs -> %.2fx (median of %d)\n" name
-        p.best_a p.best_b p.ratio reps)
-    [
-      (Printf.sprintf "opt_two fig3 n=%d (full solve)" two_n, two);
-      (Printf.sprintf "opt_config fig3 n=%d x%d (full solve)" cfg_n cfg_iters, cfg);
-    ];
+  Printf.printf "%-36s %.4fs (best of %d)\n%-36s %.4fs (best of %d)\n"
+    (Printf.sprintf "opt_two fig3 n=%d (full solve)" two_n)
+    two_s reps
+    (Printf.sprintf "opt_config fig3 n=%d x%d (full solve)" cfg_n cfg_iters)
+    cfg_s reps;
   match mode with
-  | `Smoke -> Printf.printf "smoke run: timings carry no signal, gate not judged\n"
+  | `Smoke -> Printf.printf "smoke run: no file written\n"
   | `Run ->
-    let gate = 2.0 in
-    let gate_met = two.H.ratio >= gate && cfg.H.ratio >= gate in
     H.write "BENCH_dp.json"
       (Printf.sprintf
-         "{\"opt_two_n\":%d,\"opt_two_flat_s\":%.6f,\"opt_two_legacy_s\":%.6f,\
-          \"opt_two_speedup\":%.4f,\"opt_config_n\":%d,\"opt_config_iters\":%d,\
-          \"opt_config_flat_s\":%.6f,\"opt_config_legacy_s\":%.6f,\
-          \"opt_config_speedup\":%.4f,\"reps\":%d,\"cells_expanded\":%d,\
-          \"relaxations\":%d,\"generated\":%d,\
-          \"opt_config_fig3_words_flat\":%.0f,\
-          \"opt_config_fig3_words_legacy\":%.0f,\"opt_config_sweep_seeds\":%d,\
-          \"opt_config_sweep_words_flat\":%.0f,\
-          \"opt_config_sweep_words_legacy\":%.0f,\
-          \"opt_two_fig3_words_flat\":%.0f,\"opt_two_fig3_words_legacy\":%.0f,\
-          \"opt_two_cold_seeds\":%d,\"opt_two_cold_words_flat\":%.0f,\
-          \"opt_two_cold_words_legacy\":%.0f,\"parity\":true,\"gate\":%.1f,\
-          \"gate_met\":%b}\n"
-         two_n two.H.best_a two.H.best_b two.H.ratio cfg_n cfg_iters cfg.H.best_a
-         cfg.H.best_b cfg.H.ratio reps
-         s_new.counters.Crs_algorithms.Opt_two.cells_expanded
-         s_new.counters.Crs_algorithms.Opt_two.relaxations
-         c_new.stats.Crs_algorithms.Opt_config.generated fig3_words_flat
-         fig3_words_legacy sweep_seeds sweep_words_flat sweep_words_legacy
-         two_fig3_words_flat two_fig3_words_legacy sweep_seeds two_cold_words_flat
-         two_cold_words_legacy gate gate_met);
-    Printf.printf
-      "speedup vs frozen boxed kernels: opt_two %.2fx, opt_config %.2fx (gate \
-       >= %.1fx on BOTH: %s)\n"
-      two.H.ratio cfg.H.ratio gate
-      (if gate_met then "met" else "NOT MET");
-    assert gate_met
+         "{\"opt_two_n\":%d,\"opt_two_flat_s\":%.6f,\"opt_config_n\":%d,\
+          \"opt_config_iters\":%d,\"opt_config_flat_s\":%.6f,\"reps\":%d,\
+          \"cells_expanded\":%d,\"relaxations\":%d,\"generated\":%d,\
+          \"opt_config_fig3_words_flat\":%.0f,\"opt_config_sweep_seeds\":%d,\
+          \"opt_config_sweep_words_flat\":%.0f,\"opt_two_fig3_words_flat\":%.0f,\
+          \"opt_two_cold_seeds\":%d,\"opt_two_cold_words_flat\":%.0f}\n"
+         two_n two_s cfg_n cfg_iters cfg_s reps s_two.counters.cells_expanded
+         s_two.counters.relaxations c_cfg.stats.generated fig3_words sweep_seeds
+         sweep_words two_fig3_words sweep_seeds two_cold_words)
 
 (* ---------- micro: runtime micro-benchmarks ---------- *)
 
@@ -1293,10 +1223,9 @@ let micro ?(budget = 0.4) () =
   let rr_family = A.round_robin_family ~n:200 in
   let cases =
     [
-      (* T5: the O(n^2) DP and its PQ variant. *)
+      (* T5: the O(n^2) DP. *)
       ("opt_two n=50", fun () -> ignore (Crs_algorithms.Opt_two.makespan inst50));
       ("opt_two n=200", fun () -> ignore (Crs_algorithms.Opt_two.makespan inst200));
-      ("opt_two_pq n=200", fun () -> ignore (Crs_algorithms.Opt_two_pq.makespan inst200));
       (* T6: configuration enumeration at fixed m. *)
       ("opt_config m=3 n=3", fun () -> ignore (Crs_algorithms.Opt_config.makespan inst_m3));
       (* T7/T8: the linear-time approximation on a large family instance. *)
@@ -1325,10 +1254,10 @@ let micro ?(budget = 0.4) () =
 (* ---------- smoke: tiny-n pass over every harness caller ---------- *)
 
 (* `dune build @bench-smoke` runs this: exercises every gated
-   experiment and `micro` end to end at sizes where each takes well
-   under a second, writes no files and judges no timing gates
-   (correctness asserts — differential checks, kernel parity, payload
-   and trace-signature identity, certification — still run). Catches
+   experiment, `dp` and `micro` end to end at sizes where each takes
+   well under a second, writes no files and judges no timing gates
+   (correctness asserts — differential checks, payload and
+   trace-signature identity, certification — still run). Catches
    bit-rot in the bench harness itself without paying for a full
    calibrated run. *)
 let smoke () =

@@ -22,7 +22,10 @@
    also records the span [lo, hi] of i1 its relaxations reached, and
    the sweep visits only that span: a level costs time in proportion to
    its reachable cells, so fuel, charged per reachable cell, bounds a
-   solve's time as well as its memory.
+   solve's time as well as its memory. Levels in order, each over its
+   reached span, are the priority queue that closes the paper's Section
+   6 as a bucket queue keyed by i1 + i2: only reachable states are
+   expanded, and a push or pop costs O(1).
 
    [solve] keeps the via code of every swept cell, one byte each,
    allocated level by level as the sweep reaches it; the replay walks
@@ -32,9 +35,10 @@
    [Smallrat] — no allocation, no [Instance.job] bounds checks (the
    requirement rows are prefetched once) — and fall back to boxed
    [Rational.t] exactly when a value leaves the small tier. Results
-   are byte-identical to the boxed kernel: [Smallrat] produces the
-   same canonical parts [Rational] would, and the witness replay
-   re-runs the share arithmetic on boxed values. *)
+   are byte-identical to the boxed pre-rewrite kernel's, which a tier-1
+   digest pins: [Smallrat] produces the same canonical parts [Rational]
+   would, and the witness replay re-runs the share arithmetic on boxed
+   values. *)
 
 module Q = Crs_num.Rational
 module SR = Crs_num.Smallrat

@@ -11,7 +11,6 @@ module Names = struct
   let smallest_requirement_first = "smallest-requirement-first"
   let optimal = "optimal"
   let opt_two = "opt-two"
-  let opt_two_pq = "opt-two-pq"
   let opt_two_pareto = "opt-two-pareto"
   let opt_config = "opt-config"
   let brute_force = "brute-force"
@@ -147,20 +146,6 @@ let exact_table =
     exact ~name:Names.opt_two
       ~about:"O(n^2) dynamic program for two processors (paper, Algorithm 1)"
       ~min_m:2 ~max_m:2 ~witness:true opt_two;
-    exact ~name:Names.opt_two_pq
-      ~about:"priority-queue variant of opt-two; expands only reachable states"
-      ~min_m:2 ~max_m:2 ~witness:false (fun instance ->
-        let stats = Opt_two_pq.run instance in
-        {
-          makespan = stats.Opt_two_pq.makespan;
-          schedule = None;
-          counters =
-            {
-              Counters.zero with
-              states_expanded = stats.Opt_two_pq.expanded;
-              dp_relaxations = stats.Opt_two_pq.relaxations;
-            };
-        });
     exact ~name:Names.opt_two_pareto
       ~about:"Pareto-frontier DP auditing Lemma 3's sufficient statistic"
       ~min_m:2 ~max_m:2 ~witness:false (fun instance ->

@@ -30,7 +30,6 @@ module Names : sig
   val smallest_requirement_first : string
   val optimal : string
   val opt_two : string
-  val opt_two_pq : string
   val opt_two_pareto : string
   val opt_config : string
   val brute_force : string
@@ -45,7 +44,7 @@ end
     differ in meaning. *)
 module Counters : sig
   type t = {
-    states_expanded : int;  (** DP cells / PQ pops / search nodes / configs *)
+    states_expanded : int;  (** reached DP cells / kept configs / search nodes *)
     dp_relaxations : int;  (** transitions examined *)
     configs_enumerated : int;  (** configurations generated (Opt_config) *)
     memo_hits : int;  (** memo-table probes answered (Brute_force) *)
@@ -80,7 +79,7 @@ type outcome = {
   makespan : int;
   schedule : Crs_core.Schedule.t option;
       (** a witness achieving [makespan]; [None] for makespan-only
-          solvers (opt-two-pq, opt-two-pareto, brute-force) *)
+          solvers (opt-two-pareto, brute-force) *)
   counters : Counters.t;
 }
 

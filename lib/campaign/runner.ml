@@ -3,8 +3,8 @@ module Registry = Crs_algorithms.Registry
 
 (* Default name set for single-instance comparison tables: every
    policy-backed algorithm plus the "optimal" exact dispatcher, in
-   registry order. The specialized exact variants (opt-two, opt-two-pq,
-   …) are opt-in by name. *)
+   registry order. The specialized exact variants (opt-two,
+   opt-two-pareto, …) are opt-in by name. *)
 let default_names =
   List.filter
     (fun n ->

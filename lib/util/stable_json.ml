@@ -77,12 +77,24 @@ let parse text =
     if i < n && text.[i] = c then i + 1
     else fail i (Printf.sprintf "expected %C" c)
   in
-  let parse_hex4 i =
-    if i + 4 > n then fail i "short \\u escape"
-    else
-      match int_of_string_opt ("0x" ^ String.sub text i 4) with
-      | Some code -> (code, i + 4)
-      | None -> fail i "bad \\u escape"
+  (* The four hex digits of the \u escape whose backslash is at [j];
+     errors point at the backslash. *)
+  let parse_hex4 j =
+    if j + 6 > n then fail j "short \\u escape"
+    else begin
+      let code = ref 0 in
+      for k = j + 2 to j + 5 do
+        let d =
+          match text.[k] with
+          | '0' .. '9' as c -> Char.code c - Char.code '0'
+          | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+          | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+          | _ -> fail j "bad \\u escape"
+        in
+        code := (!code lsl 4) lor d
+      done;
+      (!code, j + 6)
+    end
   in
   (* Unescaped runs are copied whole; a string with no escape is one
      [String.sub]. *)
@@ -117,7 +129,7 @@ let parse text =
               | 'r' -> Buffer.add_char buf '\r'; go (j + 2)
               | 't' -> Buffer.add_char buf '\t'; go (j + 2)
               | 'u' ->
-                let code, k = parse_hex4 (j + 2) in
+                let code, k = parse_hex4 j in
                 (* Control-character escapes are all this module writes;
                    anything beyond Latin-1 would need UTF-8 encoding. *)
                 if code < 0x100 then Buffer.add_char buf (Char.chr code)

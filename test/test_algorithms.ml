@@ -87,11 +87,10 @@ let test_opt_two_witness_valid () =
   done
 
 let prop_exact_solvers_agree_m2 =
-  Helpers.qcheck_case ~count:60 "Opt_two = Opt_two_pq = Opt_config = brute force (m=2)"
+  Helpers.qcheck_case ~count:60 "Opt_two = Opt_config = brute force (m=2)"
     (Helpers.gen_instance ~max_m:2 ~max_jobs:4 ()) (fun instance ->
       let dp = Crs_algorithms.Opt_two.makespan instance in
-      dp = Crs_algorithms.Opt_two_pq.makespan instance
-      && dp = Crs_algorithms.Opt_config.makespan instance
+      dp = Crs_algorithms.Opt_config.makespan instance
       && dp = Crs_algorithms.Brute_force.makespan instance)
 
 (* Lemma 3 audit: keeping only the lexicographic best (t, r) per cell

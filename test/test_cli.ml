@@ -343,6 +343,25 @@ let test_operations_flag_tables () =
         help)
     [ ("serve", serve); ("balance", help_defaults "balance") ]
 
+(* README's solver table is the output of `crsched algorithms --long`,
+   byte for byte: the run of table lines from its header row on. *)
+let test_readme_solver_table () =
+  let code, out = run_capture "algorithms --long" in
+  Alcotest.(check int) "algorithms --long exits 0" 0 code;
+  let readme =
+    In_channel.with_open_text (Filename.concat ".." "README.md") In_channel.input_lines
+  in
+  let rec block = function
+    | [] -> []
+    | l :: rest when String.starts_with ~prefix:"| name | kind |" l -> l :: table rest
+    | _ :: rest -> block rest
+  and table = function
+    | l :: rest when String.starts_with ~prefix:"|" l -> l :: table rest
+    | _ -> []
+  in
+  Alcotest.(check string) "README table = algorithms --long" out
+    (String.concat "" (List.map (fun l -> l ^ "\n") (block readme)))
+
 (* BENCH_history.jsonl, appended by tools/bench_history.py: every line
    parses and carries the full key set, and [seq] runs 1, 2, 3... so a
    deleted or reordered line fails. *)
@@ -394,6 +413,8 @@ let suite =
     Alcotest.test_case "serve --stdio session" `Quick test_serve_stdio;
     Alcotest.test_case "OPERATIONS.md flag tables match --help" `Quick
       test_operations_flag_tables;
+    Alcotest.test_case "README solver table matches algorithms --long" `Quick
+      test_readme_solver_table;
     Alcotest.test_case "BENCH_history.jsonl: complete lines, seq from 1"
       `Quick test_bench_history;
   ]

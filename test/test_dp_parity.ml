@@ -1,65 +1,33 @@
-(* Differential parity: the flat-state DP kernels (Opt_two, Opt_config)
-   against the frozen boxed kernels vendored for the benchmark gate
-   (bench/legacy). The bench asserts parity on one Figure-3 instance
-   before timing; this suite pins it across the persisted corpus, a
-   fresh seeded population, and hand-built instances that straddle the
-   small/bigint tier boundary — the layouts' hard cases (common-
-   denominator mode refused, small-tier sums spilling to the side
-   table, bigint-tier requirements).
+(* The flat-state DP kernels (Opt_two, Opt_config) pinned to data.
 
-   Contract: Opt_two must agree byte-for-byte — makespan, every
-   schedule row, and both work counters. Opt_config must agree on
-   makespan, the generated count and the per-layer survivor profile
-   (the flat kernel orders survivors canonically where the boxed one
-   inherited hash-bucket order, so the replayed witness may pick a
-   different equally-good parent); both witnesses must certify. *)
+   Two digests hold each kernel's answers per instance: makespan, work
+   counters and witness schedule. Their inputs span serving sizes, the
+   persisted corpus, a fresh seeded population and hand-built instances
+   that straddle the small/bigint tier boundary — the layouts' hard
+   cases (common-denominator mode refused, small-tier sums spilling to
+   the side table, bigint-tier requirements). Both digests were derived
+   while the frozen pre-rewrite boxed kernels still ran beside the flat
+   ones: on every corpus, fresh and tier-boundary instance, Opt_two's
+   lines were the boxed kernel's byte for byte (makespan, cells,
+   relaxations, schedule rows), and Opt_config's makespan, generated
+   count and layer sizes were the boxed kernel's. Opt_config's witness
+   is its own (it orders survivors canonically where the boxed kernel
+   inherited hash-bucket order, so a replay may pick a different
+   equally-good parent); every one must certify.
+
+   Beside the digests sit the kernels' work budgets: fuel per reached
+   cell, words per job and words per generated successor. *)
 
 module Q = Crs_num.Rational
 open Crs_core
 module O2 = Crs_algorithms.Opt_two
 module OC = Crs_algorithms.Opt_config
-module L2 = Crs_legacy.Legacy_opt_two
-module LC = Crs_legacy.Legacy_opt_config
 
-let parity_two name instance =
-  let f = O2.solve instance and l = L2.solve instance in
-  Alcotest.(check int) (name ^ ": opt_two makespan") l.L2.makespan f.O2.makespan;
-  Alcotest.(check string)
-    (name ^ ": opt_two schedule rows byte-identical")
-    (Schedule.to_string l.L2.schedule)
-    (Schedule.to_string f.O2.schedule);
-  Alcotest.(check int)
-    (name ^ ": opt_two cells_expanded")
-    l.L2.counters.L2.cells_expanded f.O2.counters.O2.cells_expanded;
-  Alcotest.(check int)
-    (name ^ ": opt_two relaxations")
-    l.L2.counters.L2.relaxations f.O2.counters.O2.relaxations
-
-let parity_config name instance =
-  let f = OC.solve instance and l = LC.solve instance in
-  Alcotest.(check int) (name ^ ": opt_config makespan") l.LC.makespan
-    f.OC.makespan;
-  Alcotest.(check int)
-    (name ^ ": opt_config generated")
-    l.LC.stats.LC.generated f.OC.stats.OC.generated;
-  Alcotest.(check (list int))
-    (name ^ ": opt_config layer profile")
-    l.LC.stats.LC.layers f.OC.stats.OC.layers;
-  (match Crs_fuzz.Certify.check instance f.OC.schedule ~claimed:f.OC.makespan with
-  | Ok _ -> ()
-  | Error msg -> Alcotest.failf "%s: flat witness rejected: %s" name msg);
-  match Crs_fuzz.Certify.check instance l.LC.schedule ~claimed:l.LC.makespan with
-  | Ok _ -> ()
-  | Error msg -> Alcotest.failf "%s: legacy witness rejected: %s" name msg
-
-(* Every pinned corpus entry that a kernel accepts must agree with its
-   frozen baseline (Opt_config is exponential in width, so cap it at
-   instances the boxed kernel solves instantly). *)
-let test_corpus_parity () =
+(* The unit-size corpus entries, named by file. *)
+let corpus () =
   let entries = Crs_fuzz.Corpus.load_dir "../data/corpus" in
   Alcotest.(check bool) "corpus present" true (entries <> []);
-  let two = ref 0 and cfg = ref 0 in
-  List.iter
+  List.filter_map
     (fun (file, entry) ->
       match entry with
       | Error msg -> Alcotest.failf "%s: unreadable corpus entry: %s" file msg
@@ -67,63 +35,30 @@ let test_corpus_parity () =
         match Instance.of_string e.Crs_fuzz.Corpus.instance_text with
         | Error msg -> Alcotest.failf "%s: unparseable instance: %s" file msg
         | Ok i ->
-          if Instance.is_unit_size i then begin
-            if Instance.m i = 2 then begin
-              incr two;
-              parity_two file i
-            end;
-            if Instance.m i <= 4 && Instance.total_jobs i <= 10 then begin
-              incr cfg;
-              parity_config file i
-            end
-          end))
-    entries;
-  Alcotest.(check bool)
-    (Printf.sprintf "corpus exercised both kernels (opt_two %d, opt_config %d)"
-       !two !cfg)
-    true
-    (!two >= 1 && !cfg >= 1)
+          if Instance.is_unit_size i then Some (Filename.basename file, i) else None))
+    entries
 
-(* 200 fresh seeded instances (not from the corpus): 140 two-processor
-   ones through Opt_two (the first 40 also through Opt_config), then 45
-   three- and 15 four-processor ones through Opt_config alone. Mixed
-   granularities keep both encodings in play: most draws stay in
+(* Fresh seeded instances (not from the corpus), drawn from one stream:
+   140 two-processor ones, then 45 three- and 15 four-processor ones.
+   Mixed granularities keep both encodings in play: most draws stay in
    common-denominator mode, coprime-granularity pairs fall back to the
-   canonical-pair path. *)
-let test_fresh_seeded_parity () =
+   canonical-pair path. Returns the 140 for Opt_two, and for Opt_config
+   the first 40 of them followed by the 60 wider ones. *)
+let fresh () =
   let st = Random.State.make [| 0xD9; 8 |] in
-  for k = 1 to 140 do
-    let rows =
-      Array.init 2 (fun _ ->
-          let g = 2 + Random.State.int st 11 in
-          Array.init
-            (1 + Random.State.int st 6)
-            (fun _ -> Helpers.rand_req st g))
-    in
-    let i = Instance.of_requirements rows in
-    parity_two (Printf.sprintf "fresh m=2 #%d" k) i;
-    if k <= 40 then parity_config (Printf.sprintf "fresh m=2 #%d" k) i
-  done;
-  for k = 1 to 45 do
-    let rows =
-      Array.init 3 (fun _ ->
-          let g = 2 + Random.State.int st 11 in
-          Array.init
-            (1 + Random.State.int st 3)
-            (fun _ -> Helpers.rand_req st g))
-    in
-    parity_config (Printf.sprintf "fresh m=3 #%d" k) (Instance.of_requirements rows)
-  done;
-  for k = 1 to 15 do
-    let rows =
-      Array.init 4 (fun _ ->
-          let g = 2 + Random.State.int st 11 in
-          Array.init
-            (1 + Random.State.int st 2)
-            (fun _ -> Helpers.rand_req st g))
-    in
-    parity_config (Printf.sprintf "fresh m=4 #%d" k) (Instance.of_requirements rows)
-  done
+  let draw m ~jobs count =
+    List.init count (fun k ->
+        let rows =
+          Array.init m (fun _ ->
+              let g = 2 + Random.State.int st 11 in
+              Array.init (1 + Random.State.int st jobs) (fun _ -> Helpers.rand_req st g))
+        in
+        (Printf.sprintf "fresh m=%d #%d" m (k + 1), Instance.of_requirements rows))
+  in
+  let two = draw 2 ~jobs:6 140 in
+  let three = draw 3 ~jobs:3 45 in
+  let four = draw 4 ~jobs:2 15 in
+  (two, List.filteri (fun k _ -> k < 40) two @ three @ four)
 
 (* Hand-built instances at the small/bigint seam. [Q.small_bound] is
    the largest canonical small-tier part; requirements with numerators
@@ -164,25 +99,18 @@ let tier_boundary_m2 () =
     ("lcm-at-bound", i [ [ frac 1 b; frac 2 b ]; [ frac 3 b; frac 1 b ] ]);
   ]
 
-let test_tier_boundary_parity () =
-  List.iter
-    (fun (name, instance) ->
-      parity_two name instance;
-      parity_config name instance)
-    (tier_boundary_m2 ());
-  (* Three near-bound first jobs: remainders leave the small tier once
-     a step splits a leftover, and a processor that a step leaves
-     untouched must carry its big remainder into the successor's key. *)
+(* Three near-bound first jobs: remainders leave the small tier once a
+   step splits a leftover, and a processor that a step leaves untouched
+   must carry its big remainder into the successor's key. *)
+let big_remainder_carried () =
   let b = Q.small_bound in
-  let carried =
+  ( "big-remainder-carried",
     Helpers.instance_of_strings
       [
         [ frac (b - 2) b; "1/3" ];
         [ frac (b - 3) b; "2/3" ];
         [ frac (b - 5) b; "1/7" ];
-      ]
-  in
-  parity_config "big-remainder-carried" carried
+      ] )
 
 (* The rewrite hoisted Opt_two's fuel tick past the reachability check:
    fuel is charged per REACHED cell, and the cells_expanded counter is
@@ -212,34 +140,58 @@ let campaign_instance family ~m ~n ~seed =
     { Crs_campaign.Spec.default with family; m; n; granularity = 10 }
     ~seed
 
-(* The parity cases compare Opt_config with the frozen kernel only on
-   makespan, [generated] and layer sizes, because the flat kernel orders
-   its survivors its own way; nothing there would notice a changed
-   witness. This digest pins the witness schedule too, per instance,
-   over three families, three shapes and 40 seeds. It changes only when
-   the search order, the survivor order or the replay changes, and then
-   it must be re-derived on purpose. *)
-let witness_digest =
-  "f68b4a35cd214dbab5f4d5a1ffa2401a"
+(* Opt_config's inputs: 360 campaign solves (three families, three
+   shapes, 40 seeds), then every unit-size corpus entry with at most
+   four processors and ten jobs (the kernel is exponential in width),
+   the 100 fresh instances and the tier-boundary ones. *)
+let opt_config_inputs () =
+  let campaign =
+    List.concat_map
+      (fun family ->
+        List.concat_map
+          (fun (m, n) ->
+            List.init 40 (fun k ->
+                let seed = k + 1 in
+                ( Printf.sprintf "%s m=%d n=%d seed=%d"
+                    (Crs_campaign.Spec.family_to_string family)
+                    m n seed,
+                  campaign_instance family ~m ~n ~seed )))
+          [ (3, 5); (3, 6); (4, 4) ])
+      Crs_campaign.Spec.[ Uniform; Heavy_tailed; Balanced ]
+  in
+  let corpus =
+    List.filter
+      (fun (_, i) -> Instance.m i <= 4 && Instance.total_jobs i <= 10)
+      (corpus ())
+  in
+  Alcotest.(check bool) "corpus feeds Opt_config" true (corpus <> []);
+  campaign @ corpus @ snd (fresh ()) @ tier_boundary_m2 ()
+  @ [ big_remainder_carried () ]
+
+(* The witness a replay picks depends on the search order, the survivor
+   order and the replay itself, so it is pinned here, per instance,
+   beside makespan, layer sizes and the generated count. The digest
+   changes only when one of those changes, and then it must be
+   re-derived on purpose. *)
+let witness_digest = "de8a67ddc01faedf44c1dd94597a909c"
 
 let test_witness_digest () =
+  let inputs = opt_config_inputs () in
   let buf = Buffer.create (1 lsl 16) in
   List.iter
-    (fun family ->
-      List.iter
-        (fun (m, n) ->
-          for seed = 1 to 40 do
-            let s = OC.solve (campaign_instance family ~m ~n ~seed) in
-            Printf.bprintf buf "%s m=%d n=%d seed=%d: %d [%s] %d\n%s\n"
-              (Crs_campaign.Spec.family_to_string family)
-              m n seed s.OC.makespan
-              (String.concat ";" (List.map string_of_int s.OC.stats.OC.layers))
-              s.OC.stats.OC.generated
-              (Schedule.to_string s.OC.schedule)
-          done)
-        [ (3, 5); (3, 6); (4, 4) ])
-    Crs_campaign.Spec.[ Uniform; Heavy_tailed; Balanced ];
-  Alcotest.(check string) "360 solves: makespan, layers, generated, witness"
+    (fun (name, i) ->
+      let s = OC.solve i in
+      (match Crs_fuzz.Certify.check i s.OC.schedule ~claimed:s.OC.makespan with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.failf "%s: witness rejected: %s" name msg);
+      Printf.bprintf buf "%s: %d [%s] %d\n%s\n" name s.OC.makespan
+        (String.concat ";" (List.map string_of_int s.OC.stats.OC.layers))
+        s.OC.stats.OC.generated
+        (Schedule.to_string s.OC.schedule))
+    inputs;
+  Alcotest.(check string)
+    (Printf.sprintf "%d solves: makespan, layers, generated, witness"
+       (List.length inputs))
     witness_digest
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
@@ -247,8 +199,9 @@ let test_witness_digest () =
    solves per generated successor, on seeds 1-50 of the campaign-sweep
    family (uniform, m = 3, n = 6). With tracing and metrics off the
    count repeats exactly. A closure or boxed value per comparison, probe
-   or finish-set mask costs about 250 words per successor; the keys and
-   nodes a solve keeps, with its per-layer lists, cost about 20. *)
+   or finish-set mask costs about 250 words per successor, and the
+   frozen pre-rewrite kernel spent 363; the keys and nodes a solve
+   keeps, with its per-layer lists, cost about 20. *)
 let test_alloc_budget () =
   Crs_obs.Metrics.set_enabled false;
   Crs_obs.Trace.set_enabled false;
@@ -267,26 +220,12 @@ let test_alloc_budget () =
        per !generated)
     true (per <= 40.0)
 
-(* The parity cases hold Opt_two to the frozen boxed kernel on small
-   instances; this digest pins it at serving sizes too, per instance:
-   makespan, fuel ticks, both work counters and the witness. It covers
-   perfbench exact-cold's m = 2 family (60-120 jobs per processor,
-   granularity 20) and its heavy-tailed variant, Figure 3 at n = 40 and
-   400, and the tier-boundary instances that exercise the spill table.
-   Any change to the reachable set, the relaxation order, the fuel
-   price or the replay moves it. *)
-let opt_two_digest = "3551f6dffab5f6b5e971b39064e7d921"
-
-let test_opt_two_digest () =
-  let buf = Buffer.create (1 lsl 20) in
-  let pin name i =
-    let before = Crs_util.Fuel.ticks () in
-    let s = O2.solve i in
-    let ticks = Crs_util.Fuel.ticks () - before in
-    Printf.bprintf buf "%s: %d %d %d %d\n%s\n" name s.O2.makespan ticks
-      s.O2.counters.O2.cells_expanded s.O2.counters.O2.relaxations
-      (Schedule.to_string s.O2.schedule)
-  in
+(* Opt_two's inputs: perfbench exact-cold's m = 2 family (60-120 jobs
+   per processor, granularity 20) and its heavy-tailed variant, Figure
+   3 at n = 40 and 400, the tier-boundary instances that exercise the
+   spill table, every unit-size two-processor corpus entry and the 140
+   fresh two-processor instances. *)
+let opt_two_inputs () =
   let spec =
     {
       Crs_generators.Random_gen.m = 2;
@@ -296,23 +235,42 @@ let test_opt_two_digest () =
       allow_zero = false;
     }
   in
-  for seed = 1 to 120 do
-    pin
-      (Printf.sprintf "exact-cold seed=%d" seed)
-      (Crs_generators.Random_gen.instance ~spec (Random.State.make [| seed |]))
-  done;
-  for seed = 1 to 20 do
-    pin
-      (Printf.sprintf "heavy-tailed seed=%d" seed)
-      (Crs_generators.Random_gen.heavy_tailed ~spec (Random.State.make [| seed |]))
-  done;
+  let seeded name gen count =
+    List.init count (fun k ->
+        let seed = k + 1 in
+        (Printf.sprintf "%s seed=%d" name seed, gen (Random.State.make [| seed |])))
+  in
+  let corpus = List.filter (fun (_, i) -> Instance.m i = 2) (corpus ()) in
+  Alcotest.(check bool) "corpus feeds Opt_two" true (corpus <> []);
+  seeded "exact-cold" (Crs_generators.Random_gen.instance ~spec) 120
+  @ seeded "heavy-tailed" (Crs_generators.Random_gen.heavy_tailed ~spec) 20
+  @ List.map
+      (fun n ->
+        (Printf.sprintf "fig3 n=%d" n, Crs_generators.Adversarial.round_robin_family ~n))
+      [ 40; 400 ]
+  @ tier_boundary_m2 () @ corpus @ fst (fresh ())
+
+(* Opt_two pinned per instance: makespan, fuel ticks, both work
+   counters and the witness. Any change to the reachable set, the
+   relaxation order, the fuel price or the replay moves it. *)
+let opt_two_digest = "c78ac17e62da0c01993684ab74a25923"
+
+let test_opt_two_digest () =
+  let inputs = opt_two_inputs () in
+  let buf = Buffer.create (1 lsl 20) in
   List.iter
-    (fun n ->
-      pin (Printf.sprintf "fig3 n=%d" n) (Crs_generators.Adversarial.round_robin_family ~n))
-    [ 40; 400 ];
-  List.iter (fun (name, i) -> pin name i) (tier_boundary_m2 ());
+    (fun (name, i) ->
+      let before = Crs_util.Fuel.ticks () in
+      let s = O2.solve i in
+      let ticks = Crs_util.Fuel.ticks () - before in
+      Printf.bprintf buf "%s: %d %d %d %d\n%s\n" name s.O2.makespan ticks
+        s.O2.counters.O2.cells_expanded s.O2.counters.O2.relaxations
+        (Schedule.to_string s.O2.schedule))
+    inputs;
   Alcotest.(check string)
-    "146 solves: makespan, ticks, cells, relaxations, witness" opt_two_digest
+    (Printf.sprintf "%d solves: makespan, ticks, cells, relaxations, witness"
+       (List.length inputs))
+    opt_two_digest
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
 (* Words [f] allocates: minor words plus the words allocated straight
@@ -361,7 +319,9 @@ let test_memory_follows_fuel () =
     [ R.Names.optimal; R.Names.opt_two_pareto ]
 
 (* The same bound on full makespan solves of Figure 3, whose reachable
-   cells grow as n^2 while the words must grow as n. *)
+   cells grow as n^2 while the words must grow as n. The frozen
+   pre-rewrite kernel, one boxed table entry per cell, spent 236 k,
+   925 k and 3.67 M words here. *)
 let test_makespan_words () =
   Crs_obs.Metrics.set_enabled false;
   Crs_obs.Trace.set_enabled false;
@@ -378,12 +338,6 @@ let test_makespan_words () =
 
 let suite =
   [
-    Alcotest.test_case "corpus instances agree with frozen kernels" `Quick
-      test_corpus_parity;
-    Alcotest.test_case "200 fresh seeded instances agree" `Quick
-      test_fresh_seeded_parity;
-    Alcotest.test_case "tier-boundary instances agree" `Quick
-      test_tier_boundary_parity;
     Alcotest.test_case "opt_two fuel price = reachable cells" `Quick
       test_fuel_price_is_reachable_cells;
     Alcotest.test_case "opt_two pinned to a digest" `Quick test_opt_two_digest;

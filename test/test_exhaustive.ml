@@ -30,7 +30,6 @@ let test_solver_agreement () =
     (fun inst ->
       let dp = Crs_algorithms.Opt_two.makespan inst in
       let label = Instance.to_string inst in
-      Alcotest.(check int) ("pq: " ^ label) dp (Crs_algorithms.Opt_two_pq.makespan inst);
       Alcotest.(check int) ("pareto: " ^ label) dp
         (Crs_algorithms.Opt_two_pareto.makespan inst);
       Alcotest.(check int) ("config: " ^ label) dp

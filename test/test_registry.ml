@@ -37,7 +37,6 @@ let direct_makespan name instance =
     if Instance.m instance = 2 then Alg.Opt_two.makespan instance
     else Alg.Opt_config.makespan instance
   else if name = R.Names.opt_two then Alg.Opt_two.makespan instance
-  else if name = R.Names.opt_two_pq then Alg.Opt_two_pq.makespan instance
   else if name = R.Names.opt_two_pareto then Alg.Opt_two_pareto.makespan instance
   else if name = R.Names.opt_config then Alg.Opt_config.makespan instance
   else if name = R.Names.brute_force then Alg.Brute_force.makespan instance
@@ -48,7 +47,7 @@ let direct_makespan name instance =
   else Alcotest.fail ("no direct call known for solver " ^ name)
 
 let test_registry_is_complete () =
-  Alcotest.(check int) "16 solvers registered" 16 (List.length R.all);
+  Alcotest.(check int) "15 solvers registered" 15 (List.length R.all);
   let sorted = List.sort_uniq compare R.names in
   Alcotest.(check int) "names unique" (List.length R.all) (List.length sorted);
   List.iter
@@ -291,7 +290,7 @@ let test_failure_paths_pinned () =
   let bytes = failure_path_bytes () in
   print_endline bytes;
   Alcotest.(check string) "runner records + server responses"
-    "4ae1287596847b82fcd1248e65bae80c"
+    "24b64d655a6691e9ac45ccd744eb0b2c"
     (Digest.to_hex (Digest.string bytes))
 
 let suite =

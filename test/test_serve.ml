@@ -137,7 +137,10 @@ let test_protocol_strictness () =
   Alcotest.(check (option int)) "id recovered from bad body" (Some 42) p.id;
   let msg = parse_err {|{"proto":"crs-serve/1","kind":"hello"} trailing|} in
   Alcotest.(check bool) "trailing garbage carries offset" true
-    (Helpers.contains ~needle:"offset" msg)
+    (Helpers.contains ~needle:"offset" msg);
+  let msg = parse_err {|{"proto":"crs-serve/1","kind":"hel\u006_o"}|} in
+  Alcotest.(check string) "a \\u escape takes four hex digits"
+    "offset 34: bad \\u escape" msg
 
 let test_protocol_campaign_cap () =
   let msg =

@@ -33,8 +33,8 @@ let test_opt_two_medium () =
   in
   let inst = Instance.of_requirements rows in
   let dp = Crs_algorithms.Opt_two.makespan inst in
-  let pq = Crs_algorithms.Opt_two_pq.makespan inst in
-  Alcotest.(check int) "dp = pq at n=150" dp pq;
+  let pareto = Crs_algorithms.Opt_two_pareto.makespan inst in
+  Alcotest.(check int) "dp = pareto at n=150" dp pareto;
   Alcotest.(check bool) "within bounds" true
     (dp >= Lower_bounds.combined inst && dp <= 300)
 

@@ -1,37 +1,6 @@
-(* Tests for crs_util: priority queue, union-find, misc helpers, fuel. *)
+(* Tests for crs_util: union-find, misc helpers, stable JSON, fuel. *)
 
-module PQ = Crs_util.Pqueue.Make (Int)
 module UF = Crs_util.Union_find
-
-let test_pqueue_basic () =
-  Alcotest.(check bool) "empty" true (PQ.is_empty PQ.empty);
-  Alcotest.(check (option int)) "find_min empty" None (PQ.find_min PQ.empty);
-  let h = PQ.of_list [ 5; 3; 8; 1; 9; 1 ] in
-  Alcotest.(check (option int)) "min" (Some 1) (PQ.find_min h);
-  Alcotest.(check (list int)) "sorted drain" [ 1; 1; 3; 5; 8; 9 ] (PQ.to_sorted_list h);
-  Alcotest.(check int) "size" 6 (PQ.size h)
-
-let test_pqueue_merge () =
-  let a = PQ.of_list [ 4; 2 ] and b = PQ.of_list [ 3; 1 ] in
-  Alcotest.(check (list int)) "merge drains sorted" [ 1; 2; 3; 4 ]
-    (PQ.to_sorted_list (PQ.merge a b));
-  Alcotest.(check (list int)) "merge with empty" [ 1; 3 ]
-    (PQ.to_sorted_list (PQ.merge PQ.empty b))
-
-let prop_pqueue_sorts =
-  Helpers.qcheck_case "pqueue drains any list sorted"
-    QCheck2.Gen.(list_size (int_bound 200) (int_range (-1000) 1000))
-    (fun l -> PQ.to_sorted_list (PQ.of_list l) = List.sort compare l)
-
-let prop_pqueue_pop_min =
-  Helpers.qcheck_case "pop always yields the minimum"
-    QCheck2.Gen.(list_size (int_range 1 50) (int_range (-100) 100))
-    (fun l ->
-      let h = PQ.of_list l in
-      match PQ.pop h with
-      | None -> false
-      | Some (x, rest) ->
-        x = List.fold_left min (List.hd l) l && PQ.size rest = List.length l - 1)
 
 let test_union_find () =
   let uf = UF.create 6 in
@@ -149,6 +118,17 @@ let test_stable_json_parse_negative () =
   check_msg "[1 2]" "offset 3";
   check_msg "\"\\q\"" "offset";
   check_msg "nul" "offset 0";
+  (* A \u escape is exactly four hex digits; the underscores that
+     [int_of_string] accepts are not. *)
+  check_msg "\"\\u0_41\"" "offset 1: bad \\u escape";
+  check_msg "\"\\u004_\"" "offset 1: bad \\u escape";
+  List.iter
+    (fun src ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%S parses to \\xe9" src)
+        true
+        (J.parse src = Ok (J.Str "\xe9")))
+    [ "\"\\u00e9\""; "\"\\u00E9\"" ];
   (* Trailing whitespace is NOT garbage. *)
   Alcotest.(check bool) "trailing whitespace accepted" true
     (Result.is_ok (J.parse "{}  \n"))
@@ -186,10 +166,6 @@ let test_fuel_meter_nested () =
 
 let suite =
   [
-    Alcotest.test_case "pqueue: basics" `Quick test_pqueue_basic;
-    Alcotest.test_case "pqueue: merge" `Quick test_pqueue_merge;
-    prop_pqueue_sorts;
-    prop_pqueue_pop_min;
     Alcotest.test_case "union-find: unions and groups" `Quick test_union_find;
     prop_union_find_partition;
     Alcotest.test_case "misc helpers" `Quick test_misc;
