@@ -38,7 +38,12 @@ type record = {
   counters : Crs_algorithms.Registry.Counters.t option;
       (** the solver's work counters; [None] when no solve ran or the
           algorithm has none. Deterministic, so part of [payload]. *)
-  wall_ns : int;  (** item wall-clock; excluded from [payload] *)
+  wall_ns : int;
+      (** time spent producing this record; excluded from [payload]. A
+          seed's records share one instance and one baseline solve, so
+          its first record also carries the instance's generation and
+          the first record whose algorithm completes carries the
+          baseline's solve (see {!Runner}). *)
 }
 
 val to_json : record -> string

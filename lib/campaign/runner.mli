@@ -1,11 +1,24 @@
-(** Campaign execution: expand a {!Spec.t} into items and evaluate them,
-    sequentially or on the {!Crs_exec.Exec} work-stealing executor.
+(** Campaign execution: evaluate a {!Spec.t} seed by seed, sequentially
+    or on the {!Crs_exec.Exec} work-stealing executor.
 
-    Determinism contract: item results (minus timing) depend only on the
-    spec — instances are regenerated from their seed inside the item,
-    timeouts are fuel-based (work-metered, not wall-clock), and items
-    share no mutable state — so [run ~domains:1] and [run ~domains:k]
-    produce identical {!Report.payload}s. *)
+    The unit of work is a seed: its task regenerates the instance and its
+    digest once and evaluates every algorithm of the spec on it, in spec
+    order, yielding that seed's records. The baseline (exact or lower
+    bound) depends on the instance alone, so the task solves it at most
+    once, on the first algorithm that completes, and keeps the result,
+    an error included, for the seed's later records.
+
+    Determinism contract: record results (minus timing) depend only on
+    the spec — instances are regenerated from their seed inside the
+    task, timeouts are fuel-based (work-metered, not wall-clock), and
+    tasks share no mutable state — so [run ~domains:1] and
+    [run ~domains:k] produce identical {!Report.payload}s. They are also
+    the payloads of evaluating every item on its own, baseline included.
+
+    A record's [wall_ns] is the time spent producing it: the first
+    record of a seed carries the instance's generation and digest, and
+    the first record whose algorithm completes carries the baseline's
+    solve. *)
 
 val default_names : string list
 (** Default set for comparison tables: every policy-backed algorithm
@@ -15,18 +28,20 @@ val algorithm_names : string list
 (** All registered names ([= Crs_algorithms.Registry.names]). *)
 
 val run_item : Spec.t -> Spec.item -> Report.record
-(** Evaluate one item: regenerate the instance from its seed, then solve
-    the algorithm and the baseline through
-    {!Crs_algorithms.Registry.run}, each under the spec's fuel budget.
-    A capability rejection records [Not_applicable], an exhausted
-    budget [Timeout], any other exception [Error]. Never raises. The
-    record carries the solver's {!Crs_algorithms.Registry.Counters.t}
-    when the algorithm's solve completed. *)
+(** Evaluate one item, the one-algorithm case of a seed's task:
+    regenerate the instance from its seed, then solve the algorithm and
+    the baseline through {!Crs_algorithms.Registry.run}, each under the
+    spec's fuel budget. A capability rejection records
+    [Not_applicable], an exhausted budget [Timeout], any other exception
+    (or an unknown algorithm name) [Error]. Never raises. The record
+    carries the solver's {!Crs_algorithms.Registry.Counters.t} when the
+    algorithm's solve completed. *)
 
 val run : ?domains:int -> Spec.t -> Report.record array
-(** Run the whole campaign; records are in item order regardless of the
-    pool size. [domains <= 1] (default) runs sequentially in the calling
-    domain; larger values use {!Crs_exec.Exec.map}.
+(** Run the whole campaign, one task per seed; records are in item order
+    ({!Spec.expand}'s ids) regardless of the pool size. [domains <= 1]
+    (default) runs sequentially in the calling domain; larger values use
+    {!Crs_exec.Exec.map}.
     @raise Invalid_argument when {!Spec.validate} rejects the spec. *)
 
 val compare_records :
@@ -36,7 +51,8 @@ val compare_records :
   family:string ->
   Crs_core.Instance.t ->
   Report.record list
-(** Evaluate the named algorithms (default: all) on one concrete
-    instance, yielding campaign-schema records — the backend of
-    [crsched compare --json]. [family] labels the records (e.g.
-    ["file"]). *)
+(** Evaluate the named algorithms (default: {!default_names}) on one
+    concrete instance, yielding campaign-schema records with ids from 0 —
+    the backend of [crsched compare --json]. The same evaluation as a
+    seed's task: one baseline solve shared by every record. [family]
+    labels the records (e.g. ["file"]). *)

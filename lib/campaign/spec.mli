@@ -1,5 +1,6 @@
 (** Campaign specification: generator family × seed range × algorithm
-    list, expanded into independent (instance × algorithm) work items.
+    list, expanded into (instance × algorithm) items. {!Runner} evaluates
+    the items of one seed together, as one task.
 
     Seeding discipline: the instance for seed [s] is generated from
     [Random.State.make [| s |]] — the same as [crsched gen --seed s] —

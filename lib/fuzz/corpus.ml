@@ -53,7 +53,6 @@ let make ~name ~oracle ?(expect = Pass) ?(note = "") ?family ?seed ?gen_m ?gen_n
 (* ---- JSON encoding (shared stable encoder, see Crs_util.Stable_json;
    the pinned corpus digests depend on this staying byte-identical) ---- *)
 
-let json_escape = Crs_util.Stable_json.escape
 let jstr = Crs_util.Stable_json.str
 let jstr_opt = Crs_util.Stable_json.str_opt
 let jint_opt = Crs_util.Stable_json.int_opt
@@ -75,109 +74,60 @@ let to_json e =
       ("digest", jstr e.digest);
     ]
 
-(* ---- minimal parser for the writer's own output: flat objects whose
-   values are strings, ints or null. Not a general JSON parser. ---- *)
-
-let find_key text key =
-  let needle = "\"" ^ json_escape key ^ "\":" in
-  let n = String.length text and k = String.length needle in
-  let rec go i =
-    if i + k > n then None
-    else if String.sub text i k = needle then Some (i + k)
-    else go (i + 1)
-  in
-  go 0
-
-let parse_string text pos =
-  let n = String.length text in
-  if pos >= n || text.[pos] <> '"' then Error "expected a string value"
-  else begin
-    let buf = Buffer.create 64 in
-    let rec go i =
-      if i >= n then Error "unterminated string"
-      else
-        match text.[i] with
-        | '"' -> Ok (Buffer.contents buf)
-        | '\\' ->
-          if i + 1 >= n then Error "dangling escape"
-          else begin
-            (match text.[i + 1] with
-            | '"' -> Buffer.add_char buf '"'
-            | '\\' -> Buffer.add_char buf '\\'
-            | 'n' -> Buffer.add_char buf '\n'
-            | 't' -> Buffer.add_char buf '\t'
-            | 'u' ->
-              if i + 5 >= n then failwith "short \\u escape"
-              else
-                Buffer.add_char buf
-                  (Char.chr (int_of_string ("0x" ^ String.sub text (i + 2) 4)))
-            | c -> failwith (Printf.sprintf "unsupported escape \\%c" c));
-            go (i + if text.[i + 1] = 'u' then 6 else 2)
-          end
-        | c ->
-          Buffer.add_char buf c;
-          go (i + 1)
-    in
-    try go (pos + 1) with Failure msg -> Error msg
-  end
-
-let string_field text key =
-  match find_key text key with
-  | None -> Error (Printf.sprintf "missing field %S" key)
-  | Some pos -> parse_string text pos
-
-let opt_of = function
-  | Error _ -> None
-  | Ok v -> Some v
-
-let int_field_opt text key =
-  match find_key text key with
-  | None -> None
-  | Some pos ->
-    let n = String.length text in
-    let stop = ref pos in
-    while
-      !stop < n && (match text.[!stop] with '-' | '0' .. '9' -> true | _ -> false)
-    do
-      incr stop
-    done;
-    if !stop = pos then None else int_of_string_opt (String.sub text pos (!stop - pos))
-
-let string_field_opt text key =
-  match find_key text key with
-  | None -> None
-  | Some pos ->
-    if pos + 4 <= String.length text && String.sub text pos 4 = "null" then None
-    else opt_of (parse_string text pos)
+(* ---- reader: the shared strict parser, then typed fields ---- *)
 
 let of_json text =
+  let module J = Crs_util.Stable_json in
   let ( let* ) = Result.bind in
-  let* schema = string_field text "schema" in
+  let* json = J.parse text in
+  let string_field key =
+    match J.member key json with
+    | Some (J.Str s) -> Ok s
+    | None -> Error (Printf.sprintf "missing field %S" key)
+    | Some _ -> Error (Printf.sprintf "field %S is not a string" key)
+  in
+  (* The generator pins: absent or null reads as None. *)
+  let opt_field key read =
+    match J.member key json with
+    | None | Some J.Null -> Ok None
+    | Some v -> (
+      match read v with
+      | Some _ as x -> Ok x
+      | None -> Error (Printf.sprintf "field %S has the wrong type" key))
+  in
+  let str_opt key = opt_field key (function J.Str s -> Some s | _ -> None) in
+  let int_opt key = opt_field key (function J.Int n -> Some n | _ -> None) in
+  let* schema = string_field "schema" in
   if schema <> "crs-fuzz-corpus/1" then
     Error (Printf.sprintf "unknown corpus schema %S" schema)
   else
-    let* name = string_field text "name" in
-    let* oracle = string_field text "oracle" in
-    let* expect_s = string_field text "expect" in
+    let* name = string_field "name" in
+    let* oracle = string_field "oracle" in
+    let* expect_s = string_field "expect" in
     let* expect =
       match expectation_of_string expect_s with
       | Some e -> Ok e
       | None -> Error (Printf.sprintf "bad expect value %S" expect_s)
     in
-    let* note = string_field text "note" in
-    let* instance_text = string_field text "instance" in
-    let* digest = string_field text "digest" in
+    let* note = string_field "note" in
+    let* family = str_opt "family" in
+    let* seed = int_opt "seed" in
+    let* gen_m = int_opt "m" in
+    let* gen_n = int_opt "n" in
+    let* gen_granularity = int_opt "granularity" in
+    let* instance_text = string_field "instance" in
+    let* digest = string_field "digest" in
     Ok
       {
         name;
         oracle;
         expect;
         note;
-        family = string_field_opt text "family";
-        seed = int_field_opt text "seed";
-        gen_m = int_field_opt text "m";
-        gen_n = int_field_opt text "n";
-        gen_granularity = int_field_opt text "granularity";
+        family;
+        seed;
+        gen_m;
+        gen_n;
+        gen_granularity;
         instance_text;
         digest;
       }

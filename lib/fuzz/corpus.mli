@@ -50,6 +50,9 @@ val make :
 
 val to_json : entry -> string
 val of_json : string -> (entry, string) result
+(** Read an entry with {!Crs_util.Stable_json.parse}: malformed JSON
+    (including a bad or non-Latin-1 [\u] escape) and a missing or
+    mistyped field come back as [Error], never as an exception. *)
 
 val save : dir:string -> entry -> string
 (** Write [<dir>/<name>.json] (creating [dir]), return the path. *)

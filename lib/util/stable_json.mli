@@ -9,8 +9,9 @@
     installed, and none is needed: writers emit strings through the
     combinators below (stable key order is the caller's duty — pass
     fields in a fixed order), and {!parse} is a small validating reader
-    for the writers' own output, used by schema tests and round-trip
-    checks. *)
+    for the writers' own output: the serve protocol, the warm file, the
+    fuzz corpus, schema tests and round-trip checks all read through
+    it. *)
 
 (** {2 Encoding} *)
 

@@ -78,6 +78,11 @@ let test_spec_instance_deterministic () =
 
 (* ---- Runner outcomes ---- *)
 
+let sized_instance () =
+  match Crs_core.Instance.of_string "1/2*2 1/3\n1/4 1/2\n" with
+  | Ok i -> i
+  | Error msg -> Alcotest.fail msg
+
 let test_timeout_recorded () =
   (* Tiny fuel: the exact baseline runs dry, the item records Timeout
      instead of hanging, and the heuristic makespan is kept. *)
@@ -107,11 +112,7 @@ let test_baseline_inapplicable () =
      algorithm, and the lower-bound baseline needs unit-size jobs too:
      on sized jobs the algorithm's makespan is kept and the record reads
      not_applicable with the baseline's reason. *)
-  let instance =
-    match Crs_core.Instance.of_string "1/2*2 1/3\n1/4 1/2\n" with
-    | Ok i -> i
-    | Error msg -> Alcotest.fail msg
-  in
+  let instance = sized_instance () in
   let payload baseline detail =
     Printf.sprintf
       {|{"id":0,"family":"file","m":2,"n":2,"granularity":null,"seed":null,"digest":"d0b4618213614b38a534dce6281a6593","algorithm":"greedy-balance","outcome":"not_applicable","detail":"%s","makespan":3,"baseline":"%s","optimum":null,"ratio":null,"counters":{"states_expanded":0,"dp_relaxations":0,"configs_enumerated":0,"memo_hits":0,"memo_misses":0,"fuel_ticks":0}}|}
@@ -129,6 +130,84 @@ let test_baseline_inapplicable () =
       (C.Spec.Exact, payload "exact" "optimal requires unit-size jobs");
       (C.Spec.Lower_bound, payload "lower-bound" "lower-bound requires unit-size jobs");
     ]
+
+(* ---- Same bytes: payload digests derived when every record still
+   solved its own baseline ---- *)
+
+let test_pinned_payload_digests () =
+  let sp ?(family = C.Spec.Uniform) ?(m = 3) ?(n = 6) ?(baseline = C.Spec.Exact)
+      ~seeds:(seed_lo, seed_hi) ~fuel algorithms =
+    { (spec ~seed_lo ~seed_hi ~fuel:(Some fuel) ~algorithms ()) with
+      C.Spec.family; m; n; baseline }
+  in
+  List.iter
+    (fun (label, sp, expected) ->
+      List.iter
+        (fun domains ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s at %d domain(s)" label domains)
+            expected
+            (C.Report.payload_digest (C.Runner.run ~domains sp)))
+        [ 1; 2 ])
+    [
+      ( "exact baseline",
+        sp ~seeds:(100001, 100120) ~fuel:2_000_000 [ "greedy-balance"; "round-robin" ],
+        "e2400059c0cec4d3b189bd86f6cdf691" );
+      ( "timeouts in both phases",
+        sp ~seeds:(1, 60) ~fuel:300 [ "greedy-balance"; "round-robin"; "brute-force" ],
+        "3091b2a2ee4cefd0245d138ecca734a0" );
+      (* Where brute-force, listed first, times out, the second
+         algorithm solves the baseline. *)
+      ( "baseline on the second algorithm",
+        sp ~seeds:(1, 60) ~fuel:300 [ "brute-force"; "greedy-balance"; "round-robin" ],
+        "e0404068b7c05c1919390f8f5263892b" );
+      ( "lower-bound baseline, inapplicable first algorithm",
+        sp ~family:C.Spec.Balanced ~n:4 ~baseline:C.Spec.Lower_bound ~seeds:(1, 40)
+          ~fuel:2_000_000 [ "opt-two"; "greedy-balance"; "round-robin"; "brute-force" ],
+        "831b7e804ce3214ff8539938e56c668a" );
+    ];
+  (* compare --json over every default name: on sized jobs both
+     baselines are not_applicable; on unit jobs every record shares the
+     optimum. *)
+  List.iter
+    (fun (label, instance, baseline, expected) ->
+      Alcotest.(check string) label expected
+        (C.Report.payload_digest
+           (Array.of_list (C.Runner.compare_records ~baseline ~family:"file" instance))))
+    [
+      ("compare, sized, exact", sized_instance (), C.Spec.Exact,
+       "e76e744d7fa0a341ca7b548924576d83");
+      ("compare, sized, lower-bound", sized_instance (), C.Spec.Lower_bound,
+       "7b6f657f88451bd0e703448ec144cbd5");
+      ("compare, unit, exact", C.Spec.instance (spec ()) ~seed:1, C.Spec.Exact,
+       "6d051ff2b7edab8ba43b8043354d1ce8");
+    ]
+
+(* ---- Work: one baseline solve per instance, however many algorithms ---- *)
+
+let test_baseline_solved_once () =
+  let optimal_solves f =
+    Crs_obs.Metrics.reset ();
+    Crs_obs.Metrics.set_enabled true;
+    Fun.protect
+      ~finally:(fun () ->
+        Crs_obs.Metrics.set_enabled false;
+        Crs_obs.Metrics.reset ())
+      (fun () ->
+        ignore (f ());
+        Crs_obs.Metrics.counter_value (Crs_obs.Metrics.counter "solver.optimal.solves"))
+  in
+  let names = [ "greedy-balance"; "round-robin"; "proportional" ] in
+  List.iter
+    (fun domains ->
+      Alcotest.(check int)
+        (Printf.sprintf "6 seeds x 3 algorithms, %d domain(s)" domains)
+        6
+        (optimal_solves (fun () -> C.Runner.run ~domains (spec ~algorithms:names ()))))
+    [ 1; 2 ];
+  Alcotest.(check int) "compare_records over 3 names" 1
+    (optimal_solves (fun () ->
+         C.Runner.compare_records ~names ~family:"file" (C.Spec.instance (spec ()) ~seed:1)))
 
 (* ---- Determinism across pool sizes (and the tier-1 smoke campaign) ---- *)
 
@@ -275,4 +354,8 @@ let suite =
     Alcotest.test_case "report: payload excludes timing" `Quick
       test_payload_excludes_timing;
     Alcotest.test_case "report: JSON string escaping" `Quick test_json_escaping;
+    Alcotest.test_case "same bytes: payload digests pinned at 1 and 2 domains" `Quick
+      test_pinned_payload_digests;
+    Alcotest.test_case "work: one baseline solve per seed" `Quick
+      test_baseline_solved_once;
   ]

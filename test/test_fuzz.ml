@@ -265,10 +265,34 @@ let test_corpus_replay_pinned () =
       match parsed with
       | Error msg -> Alcotest.fail (path ^ ": " ^ msg)
       | Ok entry -> (
+        (* Each file reads back to its own bytes. *)
+        Alcotest.(check string) (path ^ " round-trips")
+          (In_channel.with_open_text path In_channel.input_all)
+          (F.Corpus.to_json entry ^ "\n");
         match F.Corpus.replay entry with
         | Ok () -> ()
         | Error msg -> Alcotest.fail (path ^ ": " ^ msg)))
     entries
+
+(* The reader is Stable_json's strict parser: a malformed [\u] escape or
+   a key spelled unescaped inside another field's string comes back as
+   Error, never as an exception or a silently different entry. *)
+let test_corpus_strict_reader () =
+  let entry name =
+    Printf.sprintf
+      {|{"schema":"crs-fuzz-corpus/1","name":"%s","oracle":"exact-agreement","expect":"pass","note":"","family":null,"seed":null,"m":null,"n":null,"granularity":null,"instance":"1/2\n","digest":""}|}
+      name
+  in
+  (match F.Corpus.of_json (entry {|crs-fuzz-\u0041|}) with
+  | Ok e -> Alcotest.(check string) "a good escape" "crs-fuzz-A" e.F.Corpus.name
+  | Error msg -> Alcotest.fail msg);
+  List.iter
+    (fun name ->
+      match F.Corpus.of_json (entry name) with
+      | Ok e -> Alcotest.failf "%s read as %S" name e.F.Corpus.name
+      | Error _ -> ()
+      | exception exn -> Alcotest.failf "%s raised %s" name (Printexc.to_string exn))
+    [ {|crs-fuzz-\u0_41|}; {|crs-fuzz-\u0100|}; {|crs-fuzz-\uzzzz|}; {|a "seed":7 b|} ]
 
 (* Seed-stability goldens: the exact text three known seeds generate.
    If Random.State or a generator family changes, this (and the pinned
@@ -387,4 +411,6 @@ let suite =
       test_driver_rejects_bad_config;
     Alcotest.test_case "driver: fuel exhaustion -> timeout" `Quick
       test_driver_times_out_on_tiny_fuel;
+    Alcotest.test_case "corpus: strict reader refuses bad escapes" `Quick
+      test_corpus_strict_reader;
   ]
