@@ -271,7 +271,12 @@ let compare_cmd =
 
 (* ---- campaign ---- *)
 
-let campaign_cmd =
+(* The spec flags `campaign` and `trace campaign` share; [seeds] is the
+   default range and [baseline] a term, `campaign`'s --baseline flag or
+   a constant. The term parses family and baseline and validates the
+   spec, exiting 1 with one diagnostic line. A command applies it last,
+   so cmdliner reports its own conversion errors first. *)
+let campaign_spec ~seeds ~baseline =
   let family =
     Arg.(value & opt string "uniform"
          & info [ "f"; "family" ] ~docv:"FAMILY"
@@ -283,7 +288,7 @@ let campaign_cmd =
     Arg.(value & opt int 10 & info [ "granularity" ] ~doc:"Requirement grid 1/g.")
   in
   let seeds =
-    Arg.(value & opt (pair ~sep:'-' int int) (1, 50)
+    Arg.(value & opt (pair ~sep:'-' int int) seeds
          & info [ "seeds" ] ~docv:"LO-HI"
              ~doc:"Inclusive seed range; one instance per seed.")
   in
@@ -294,16 +299,51 @@ let campaign_cmd =
                    (see `crsched algorithms'). Solvers whose capability \
                    record rejects the family are reported not_applicable.")
   in
-  let baseline =
-    Arg.(value & opt string "exact"
-         & info [ "baseline" ]
-             ~doc:"Denominator of the ratio: exact (fuel-metered optimum) or lower-bound.")
-  in
   let fuel =
     Arg.(value & opt int 2_000_000
          & info [ "fuel" ]
              ~doc:"Per-solve work budget (solver ticks); 0 disables metering. \
                    Exhausted budgets are recorded as timeout outcomes.")
+  in
+  let build family m n granularity (seed_lo, seed_hi) algorithms baseline fuel
+      =
+    let family =
+      match Crs_campaign.Spec.family_of_string family with
+      | Some f -> f
+      | None -> fail ("unknown family " ^ family)
+    in
+    let baseline =
+      match Crs_campaign.Spec.baseline_of_string baseline with
+      | Some b -> b
+      | None ->
+        fail (Printf.sprintf "unknown baseline %s (exact | lower-bound)" baseline)
+    in
+    let spec =
+      {
+        Crs_campaign.Spec.family;
+        m;
+        n;
+        granularity;
+        seed_lo;
+        seed_hi;
+        algorithms;
+        baseline;
+        fuel = (if fuel = 0 then None else Some fuel);
+      }
+    in
+    match Crs_campaign.Spec.validate spec with
+    | Ok _ -> spec
+    | Error msg -> fail ("invalid campaign: " ^ msg)
+  in
+  Term.(
+    const build $ family $ m $ n $ granularity $ seeds $ algos $ baseline
+    $ fuel)
+
+let campaign_cmd =
+  let baseline =
+    Arg.(value & opt string "exact"
+         & info [ "baseline" ]
+             ~doc:"Denominator of the ratio: exact (fuel-metered optimum) or lower-bound.")
   in
   let domains =
     Arg.(value & opt int 1
@@ -323,40 +363,7 @@ let campaign_cmd =
                    (outcome counters, per-solver work counters) and write \
                    its snapshot to DIR/campaign-metrics.json.")
   in
-  let run family m n granularity (seed_lo, seed_hi) algos baseline fuel domains
-      out metrics =
-    let fam =
-      match Crs_campaign.Spec.family_of_string family with
-      | Some f -> f
-      | None ->
-        Printf.eprintf "error: unknown family %s\n" family;
-        exit 1
-    in
-    let bl =
-      match Crs_campaign.Spec.baseline_of_string baseline with
-      | Some b -> b
-      | None ->
-        Printf.eprintf "error: unknown baseline %s (exact | lower-bound)\n" baseline;
-        exit 1
-    in
-    let spec =
-      {
-        Crs_campaign.Spec.family = fam;
-        m;
-        n;
-        granularity;
-        seed_lo;
-        seed_hi;
-        algorithms = algos;
-        baseline = bl;
-        fuel = (if fuel = 0 then None else Some fuel);
-      }
-    in
-    (match Crs_campaign.Spec.validate spec with
-    | Ok _ -> ()
-    | Error msg ->
-      Printf.eprintf "error: invalid campaign: %s\n" msg;
-      exit 1);
+  let run domains out metrics spec =
     Printf.printf "campaign: %s\n" (Crs_campaign.Spec.describe spec);
     let domains =
       if domains = 0 then Domain.recommended_domain_count () else max 1 domains
@@ -415,8 +422,8 @@ let campaign_cmd =
               byte-identical at any pool size.";
          ])
     Term.(
-      const run $ family $ m $ n $ granularity $ seeds $ algos $ baseline $ fuel
-      $ domains $ out $ metrics)
+      const run $ domains $ out $ metrics
+      $ campaign_spec ~seeds:(1, 50) ~baseline)
 
 (* ---- fuzz / replay ---- *)
 
@@ -982,30 +989,6 @@ let trace_solve_cmd =
     Term.(const run $ instance_arg $ algo_arg $ trace_out_arg $ trace_jsonl_arg)
 
 let trace_campaign_cmd =
-  let family =
-    Arg.(value & opt string "uniform"
-         & info [ "f"; "family" ] ~docv:"FAMILY"
-             ~doc:"Generator family: uniform, heavy-tailed, balanced.")
-  in
-  let m = Arg.(value & opt int 3 & info [ "m" ] ~doc:"Number of processors.") in
-  let n = Arg.(value & opt int 3 & info [ "n" ] ~doc:"Jobs per processor.") in
-  let granularity =
-    Arg.(value & opt int 10 & info [ "granularity" ] ~doc:"Requirement grid 1/g.")
-  in
-  let seeds =
-    Arg.(value & opt (pair ~sep:'-' int int) (1, 8)
-         & info [ "seeds" ] ~docv:"LO-HI"
-             ~doc:"Inclusive seed range; one instance per seed.")
-  in
-  let algos =
-    Arg.(value & opt_all string [ Registry.Names.greedy_balance ]
-         & info [ "a"; "algorithm" ] ~docv:"ALGO"
-             ~doc:"Algorithm to evaluate (repeatable).")
-  in
-  let fuel =
-    Arg.(value & opt int 2_000_000
-         & info [ "fuel" ] ~doc:"Per-solve work budget; 0 disables metering.")
-  in
   let domains =
     Arg.(value & opt int 1
          & info [ "domains" ] ~docv:"K"
@@ -1013,33 +996,7 @@ let trace_campaign_cmd =
                    deterministically, so the span TREE is identical at any \
                    size (timestamps and thread ids differ).")
   in
-  let run family m n granularity (seed_lo, seed_hi) algos fuel domains out jsonl
-      =
-    let fam =
-      match Crs_campaign.Spec.family_of_string family with
-      | Some f -> f
-      | None ->
-        Printf.eprintf "error: unknown family %s\n" family;
-        exit 1
-    in
-    let spec =
-      {
-        Crs_campaign.Spec.family = fam;
-        m;
-        n;
-        granularity;
-        seed_lo;
-        seed_hi;
-        algorithms = algos;
-        baseline = Crs_campaign.Spec.Lower_bound;
-        fuel = (if fuel = 0 then None else Some fuel);
-      }
-    in
-    (match Crs_campaign.Spec.validate spec with
-    | Ok _ -> ()
-    | Error msg ->
-      Printf.eprintf "error: invalid campaign: %s\n" msg;
-      exit 1);
+  let run domains out jsonl spec =
     Crs_obs.Trace.set_enabled true;
     let records = Crs_campaign.Runner.run ~domains spec in
     Crs_obs.Trace.set_enabled false;
@@ -1063,8 +1020,8 @@ let trace_campaign_cmd =
               tree is independent of the pool size.";
          ])
     Term.(
-      const run $ family $ m $ n $ granularity $ seeds $ algos $ fuel $ domains
-      $ trace_out_arg $ trace_jsonl_arg)
+      const run $ domains $ trace_out_arg $ trace_jsonl_arg
+      $ campaign_spec ~seeds:(1, 8) ~baseline:(const "lower-bound"))
 
 let trace_cmd =
   Cmd.group

@@ -72,7 +72,6 @@ type summary = {
 }
 
 val summarize : record array -> summary
-val summary_to_json : summary -> string
 val render_summary : summary -> string
 
 val write_jsonl : string -> record array -> unit

@@ -13,8 +13,6 @@ let default_names =
       | _ -> true)
     Registry.names
 
-let algorithm_names = Registry.names
-
 (* Monotonic, so a wall-clock step can never record a negative
    [wall_ns]. *)
 let now_ns () = Int64.to_int (Crs_obs.Clock.monotonic_ns ())

@@ -24,9 +24,6 @@ val default_names : string list
 (** Default set for comparison tables: every policy-backed algorithm
     plus ["optimal"], in registry order. *)
 
-val algorithm_names : string list
-(** All registered names ([= Crs_algorithms.Registry.names]). *)
-
 val run_item : Spec.t -> Spec.item -> Report.record
 (** Evaluate one item, the one-algorithm case of a seed's task:
     regenerate the instance from its seed, then solve the algorithm and

@@ -29,13 +29,6 @@ let share t ~step ~proc =
 let row t step = Array.copy t.steps.(step)
 let rows t = Array.map Array.copy t.steps
 let unsafe_rows t = t.steps
-let step_total t step = Q.sum_array t.steps.(step)
-
-let append_step t shares =
-  if Array.length shares <> t.width then
-    invalid_arg "Schedule.append_step: wrong width";
-  { t with steps = Array.append t.steps [| Array.copy shares |] }
-
 let check_feasible t =
   let exception Bad of string in
   try

@@ -34,11 +34,6 @@ val unsafe_rows : t -> Crs_num.Rational.t array array
     read paths (the certifier sweeps whole schedules) where the
     per-cell bounds checks and copies of {!share}/{!rows} dominate. *)
 
-val step_total : t -> int -> Crs_num.Rational.t
-(** Total resource assigned during a step. *)
-
-val append_step : t -> Crs_num.Rational.t array -> t
-
 val check_feasible : t -> (unit, string) result
 (** Every share in [0,1] and every step total at most 1. Errors name
     the offending step and processor: an out-of-range share reports its

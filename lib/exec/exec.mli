@@ -118,15 +118,13 @@ val shutdown : t -> unit
 val with_exec : domains:int -> (t -> 'a) -> 'a
 (** [create], run, then {!shutdown} — even on exceptions. *)
 
-val map_on : ?chunk:int -> t -> ('a -> 'b) -> 'a array -> 'b array
-(** Order-preserving parallel map on an existing executor:
-    [map_on t f a] equals [Array.map f a] element-for-element whatever
-    the worker count, chunking or steal schedule — each task writes the
-    slots of its own contiguous input slice and nothing else. [chunk]
-    (default 1) input items ride per task. Re-raises the first task
-    exception after the batch settles (items sharing a chunk with a
-    raising item may be skipped).
-    @raise Invalid_argument when [chunk < 1]. *)
-
 val map : ?chunk:int -> domains:int -> ('a -> 'b) -> 'a array -> 'b array
-(** {!with_exec} + {!map_on}: one-shot order-preserving parallel map. *)
+(** One-shot order-preserving parallel map on a fresh executor of
+    [domains] workers ({!with_exec}): [map ~domains f a] equals
+    [Array.map f a] element-for-element whatever the worker count,
+    chunking or steal schedule — each task writes the slots of its own
+    contiguous input slice and nothing else. [chunk] (default 1) input
+    items ride per task. Re-raises the first task exception after the
+    batch settles (items sharing a chunk with a raising item may be
+    skipped).
+    @raise Invalid_argument when [chunk < 1]. *)

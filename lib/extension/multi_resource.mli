@@ -25,9 +25,6 @@ val create : d:int -> job array array -> t
 (** @raise Invalid_argument on dimension mismatches or zero
     processors. *)
 
-val of_instance : Crs_core.Instance.t -> t
-(** Embed a single-resource instance ([d = 1]). *)
-
 val m : t -> int
 val total_jobs : t -> int
 

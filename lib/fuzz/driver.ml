@@ -100,9 +100,6 @@ let evaluate config (oracle : Oracle.t) seed =
             [ ("outcome", Crs_obs.Trace.Str (outcome_label outcome)) ];
         outcome)
   in
-  if Crs_obs.Metrics.enabled () then
-    Crs_obs.Metrics.incr
-      (Crs_obs.Metrics.counter ("fuzz.outcome." ^ outcome_label outcome));
   { seed; digest; outcome }
 
 let run ?(domains = 1) config (oracle : Oracle.t) =

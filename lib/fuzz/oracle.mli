@@ -19,12 +19,6 @@ type t = {
           relation and the values on both sides *)
 }
 
-val approx_bounds : (string * (int -> int * int)) list
-(** The registered approximation guarantees, as data: solver name to
-    [fun m -> (num, den)] meaning makespan·den ≤ num·optimum. Currently
-    GreedyBalance's (2 − 1/m) (Theorem 7) and RoundRobin's 2
-    (Theorem 5). *)
-
 val exact_agreement : t
 (** All applicable exact-kind registry solvers report one makespan. *)
 
@@ -33,8 +27,9 @@ val witness_certified : t
     {!Certify.check} against its claimed makespan. *)
 
 val approx_bounds_hold : t
-(** optimum ≤ makespan ≤ bound·optimum for each entry of
-    {!approx_bounds}. *)
+(** optimum ≤ makespan ≤ bound·optimum for each registered
+    approximation guarantee: GreedyBalance's (2 − 1/m) (Theorem 7) and
+    RoundRobin's 2 (Theorem 5). *)
 
 val permutation_invariance : t
 (** The optimal makespan is invariant under reversing the processor

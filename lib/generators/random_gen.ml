@@ -83,8 +83,6 @@ let equal_rows ~m ~n ~granularity st =
   let spec = { default_spec with m; jobs_min = n; jobs_max = n; granularity } in
   instance ~spec st
 
-let unit_sized = Instance.is_unit_size
-
 let sized_jobs ~m ~n ~granularity ~max_size st =
   if max_size < 1 then invalid_arg "Random_gen.sized_jobs: max_size must be >= 1";
   let spec = { default_spec with m; jobs_min = n; jobs_max = n; granularity } in

@@ -34,9 +34,6 @@ val equal_rows : m:int -> n:int -> granularity:int -> Random.State.t -> Crs_core
 (** All processors have exactly [n] jobs (random requirements); the shape
     assumed in Lemma 6 intuition and the Theorem 8 family. *)
 
-val unit_sized : Crs_core.Instance.t -> bool
-(** Alias of {!Crs_core.Instance.is_unit_size} for readability. *)
-
 val sized_jobs :
   m:int -> n:int -> granularity:int -> max_size:int -> Random.State.t -> Crs_core.Instance.t
 (** Arbitrary-size jobs (sizes uniform in [1, max_size], possibly

@@ -27,8 +27,6 @@ let abs_natural t = t.mag
 let abs t = if t.sign < 0 then { t with sign = 1 } else t
 let neg t = { t with sign = -t.sign }
 
-let to_natural_opt t = if t.sign >= 0 then Some t.mag else None
-
 (* |min_int| = 2^62 does not fit in a non-negative int, so handle it
    explicitly. *)
 let min_int_mag = Natural.shift_left Natural.one 62

@@ -17,9 +17,6 @@ val to_int_exn : t -> int
 
 val of_natural : Natural.t -> t
 
-val to_natural_opt : t -> Natural.t option
-(** [Some] magnitude when the value is non-negative. *)
-
 val of_string : string -> t
 (** Decimal, with optional leading ['-'] or ['+']. *)
 

@@ -1,7 +1,7 @@
 (** Arbitrary-precision natural numbers (non-negative integers).
 
     Numbers are stored little-endian in arrays of "limbs", each limb
-    holding [base_bits] bits. The representation is canonical: no leading
+    holding 30 bits. The representation is canonical: no leading
     zero limb, and zero is the empty array. All operations are purely
     functional.
 
@@ -90,7 +90,6 @@ val max : t -> t -> t
 
 (** {1 Internals exposed for testing} *)
 
-val base_bits : int
 val num_limbs : t -> int
 val is_canonical : t -> bool
 (** Representation invariant: no leading zero limb, all limbs in range. *)

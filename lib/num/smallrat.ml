@@ -129,12 +129,4 @@ let compare p1 q1 p2 q2 =
 
 let compare_one p q = Stdlib.compare (p : int) q
 
-let of_rational r o =
-  if Rational.is_small r then begin
-    o.p <- Rational.small_num r;
-    o.q <- Rational.small_den r;
-    true
-  end
-  else false
-
 let to_rational p q = Rational.of_ints p q

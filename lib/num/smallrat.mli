@@ -20,10 +20,6 @@ type out = { mutable p : int; mutable q : int }
 
 val out : unit -> out
 
-val of_rational : Rational.t -> out -> bool
-(** Load a value's small-tier parts; [false] for a bigint-tier value
-    (the cell is untouched). *)
-
 val to_rational : int -> int -> Rational.t
 (** Box a pair. Accepts any [p/q] with [q <> 0]; pays a gcd, so keep
     it off per-cell hot paths. *)

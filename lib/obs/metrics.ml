@@ -1,16 +1,10 @@
 module Stable_json = Crs_util.Stable_json
 
-type counter = { cname : string; cell : int Atomic.t }
-type gauge = { gname : string; gcell : float Atomic.t }
-
-let hist_buckets = 64
-
-type histogram = {
-  hname : string;
-  counts : int Atomic.t array; (* counts.(k): see bucket_of *)
-  total : int Atomic.t;
-  sum : int Atomic.t;
-}
+(* A metric's name is its key in the registry's tables, so the handles
+   are the bare cells. *)
+type counter = int Atomic.t
+type gauge = float Atomic.t
+type histogram = Hist.t
 
 let enabled_flag = Atomic.make false
 let enabled () = Atomic.get enabled_flag
@@ -36,106 +30,46 @@ let register table name create =
   Mutex.unlock registry_mu;
   m
 
-let counter name =
-  register counters name (fun () -> { cname = name; cell = Atomic.make 0 })
-
-let gauge name =
-  register gauges name (fun () -> { gname = name; gcell = Atomic.make 0.0 })
-
-let histogram name =
-  register histograms name (fun () ->
-      {
-        hname = name;
-        counts = Array.init hist_buckets (fun _ -> Atomic.make 0);
-        total = Atomic.make 0;
-        sum = Atomic.make 0;
-      })
-
-let add c n =
-  if Atomic.get enabled_flag then ignore (Atomic.fetch_and_add c.cell n)
-
+let counter name = register counters name (fun () -> Atomic.make 0)
+let gauge name = register gauges name (fun () -> Atomic.make 0.0)
+let histogram name = register histograms name Hist.create
+let add c n = if Atomic.get enabled_flag then ignore (Atomic.fetch_and_add c n)
 let incr c = add c 1
-let set g v = if Atomic.get enabled_flag then Atomic.set g.gcell v
+let set g v = if Atomic.get enabled_flag then Atomic.set g v
+let observe h v = if Atomic.get enabled_flag then Hist.observe h v
+let counter_value = Atomic.get
+let gauge_value = Atomic.get
 
-(* bucket 0: v <= 0; bucket k >= 1: 2^(k-1) <= v < 2^k *)
-let bucket_of v =
-  if v <= 0 then 0
-  else begin
-    let k = ref 0 in
-    while v lsr !k > 0 do
-      k := !k + 1
-    done;
-    min !k (hist_buckets - 1)
-  end
-
-let observe h v =
-  if Atomic.get enabled_flag then begin
-    ignore (Atomic.fetch_and_add h.counts.(bucket_of v) 1);
-    ignore (Atomic.fetch_and_add h.total 1);
-    ignore (Atomic.fetch_and_add h.sum v)
-  end
-
-let counter_value c = Atomic.get c.cell
-let gauge_value g = Atomic.get g.gcell
-
-let sorted_values table =
+(* One snapshot section: every metric of [table], sorted by name. *)
+let section table json =
   Mutex.lock registry_mu;
-  let all = Hashtbl.fold (fun _ m acc -> m :: acc) table [] in
+  let all = Hashtbl.fold (fun name m acc -> (name, json m) :: acc) table [] in
   Mutex.unlock registry_mu;
-  all
+  Stable_json.obj (List.sort (fun (a, _) (b, _) -> String.compare a b) all)
 
-let snapshot () =
-  let counters =
-    sorted_values counters
-    |> List.sort (fun a b -> String.compare a.cname b.cname)
-    |> List.map (fun c -> (c.cname, Stable_json.int (Atomic.get c.cell)))
-  in
-  let gauges =
-    sorted_values gauges
-    |> List.sort (fun a b -> String.compare a.gname b.gname)
-    |> List.map (fun g -> (g.gname, Stable_json.float (Atomic.get g.gcell)))
-  in
-  let hist_json h =
-    let buckets = ref [] in
-    for k = hist_buckets - 1 downto 0 do
-      let c = Atomic.get h.counts.(k) in
-      if c > 0 then
-        buckets :=
-          Stable_json.obj
-            [
-              ("lo", Stable_json.int (if k = 0 then 0 else 1 lsl (k - 1)));
-              ("count", Stable_json.int c);
-            ]
-          :: !buckets
-    done;
-    Stable_json.obj
-      [
-        ("count", Stable_json.int (Atomic.get h.total));
-        ("sum", Stable_json.int (Atomic.get h.sum));
-        ("buckets", Stable_json.arr !buckets);
-      ]
-  in
-  let histograms =
-    sorted_values histograms
-    |> List.sort (fun a b -> String.compare a.hname b.hname)
-    |> List.map (fun h -> (h.hname, hist_json h))
+let hist_json h =
+  let bucket (lo, c) =
+    Stable_json.obj [ ("lo", Stable_json.int lo); ("count", Stable_json.int c) ]
   in
   Stable_json.obj
     [
+      ("count", Stable_json.int (Hist.count h));
+      ("sum", Stable_json.int (Hist.sum h));
+      ("buckets", Stable_json.arr (List.map bucket (Hist.buckets h)));
+    ]
+
+let snapshot () =
+  Stable_json.obj
+    [
       ("schema", Stable_json.str "crs-metrics/1");
-      ("counters", Stable_json.obj counters);
-      ("gauges", Stable_json.obj gauges);
-      ("histograms", Stable_json.obj histograms);
+      ("counters", section counters (fun c -> Stable_json.int (Atomic.get c)));
+      ("gauges", section gauges (fun g -> Stable_json.float (Atomic.get g)));
+      ("histograms", section histograms hist_json);
     ]
 
 let reset () =
   Mutex.lock registry_mu;
-  Hashtbl.iter (fun _ c -> Atomic.set c.cell 0) counters;
-  Hashtbl.iter (fun _ g -> Atomic.set g.gcell 0.0) gauges;
-  Hashtbl.iter
-    (fun _ h ->
-      Array.iter (fun a -> Atomic.set a 0) h.counts;
-      Atomic.set h.total 0;
-      Atomic.set h.sum 0)
-    histograms;
+  Hashtbl.iter (fun _ c -> Atomic.set c 0) counters;
+  Hashtbl.iter (fun _ g -> Atomic.set g 0.0) gauges;
+  Hashtbl.iter (fun _ h -> Hist.reset h) histograms;
   Mutex.unlock registry_mu

@@ -8,11 +8,17 @@
     — and mutex-protected; updates are lock-free ([Atomic]) and safe
     under the campaign [Pool].
 
-    Histograms bucket observations by powers of two (bucket 0 holds
-    values [<= 0], bucket [k >= 1] holds [2^(k-1) <= v < 2^k]), which
-    gives useful shape for quantities spanning orders of magnitude —
-    DP states per instance, memo probes, shrink steps — at a fixed
-    64-slot footprint.
+    A histogram is a named {!Hist.t} (64 log2 buckets) behind the
+    same flag: DP states per instance, memo probes, executor queue
+    depths. Code that must count whether or not metrics are on (the
+    serve tier's [stats] latency) uses {!Hist} directly.
+
+    Every name registered here has a reader: [crsched campaign
+    --metrics] and [crsched trace solve] print the snapshot, and the
+    tests and benches enable the registry around what they measure.
+    A number that is only ever read through a [stats] response is kept
+    once, as an always-on atomic beside that response, not mirrored
+    here.
 
     {!snapshot} serializes everything in the same stable-JSON style as
     campaign reports (sorted names, fixed key order, [%.6f] floats), so

@@ -14,8 +14,6 @@ type span = {
 
 type tree = { span : span; children : tree list }
 
-let monotonic_ns = Clock.monotonic_ns
-
 let enabled_flag = Atomic.make false
 let enabled () = Atomic.get enabled_flag
 let set_enabled b = Atomic.set enabled_flag b
@@ -60,9 +58,9 @@ let record_span b ~attrs name f =
   let depth = b.depth in
   b.depth <- depth + 1;
   b.open_attrs <- [] :: b.open_attrs;
-  let start_ns = monotonic_ns () in
+  let start_ns = Clock.monotonic_ns () in
   let finish extra =
-    let dur_ns = Int64.sub (monotonic_ns ()) start_ns in
+    let dur_ns = Int64.sub (Clock.monotonic_ns ()) start_ns in
     let added =
       match b.open_attrs with
       | hd :: tl ->

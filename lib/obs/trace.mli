@@ -40,10 +40,6 @@ type span = {
     order. *)
 type tree = { span : span; children : tree list }
 
-val monotonic_ns : unit -> int64
-(** Raw [CLOCK_MONOTONIC] reading (C stub, no allocation beyond the
-    boxed [int64]). *)
-
 (** {2 Recording} *)
 
 val enabled : unit -> bool

@@ -23,7 +23,6 @@
 module J = Crs_util.Stable_json
 module Registry = Crs_algorithms.Registry
 module Trace = Crs_obs.Trace
-module Metrics = Crs_obs.Metrics
 module Lines = Frontend.Lines
 
 type config = {
@@ -106,10 +105,6 @@ type t = {
   answered : int Atomic.t;
   refused : int Atomic.t;
   front : Frontend.t;
-  m_routed : Metrics.counter;
-  m_answered : Metrics.counter;
-  m_refused : Metrics.counter;
-  m_restarts : Metrics.counter;
   mutable monitor : Thread.t option;
   mutable health : Thread.t option;
 }
@@ -218,7 +213,6 @@ let monitor_loop t =
                 spawn_shard t.cfg sh;
                 Mutex.unlock sh.lock;
                 Atomic.incr sh.restarts;
-                Metrics.incr t.m_restarts;
                 if wait_ready t.cfg sh then
                   backoff.(sh.index) <- t.cfg.restart_backoff_s
                 else
@@ -294,7 +288,7 @@ let create (cfg : config) =
            under us by design (that is what the monitor is for). The
            idle deadline is serve's default; there is no flag for it. *)
         front =
-          Frontend.create ~name:"balancer"
+          Frontend.create
             {
               Frontend.max_conns = cfg.max_conns;
               idle_timeout_s = Server.default_config.Server.idle_timeout_s;
@@ -302,10 +296,6 @@ let create (cfg : config) =
               max_line_bytes = cfg.max_line_bytes;
             }
             ~stopping:(fun () -> Atomic.get stop);
-        m_routed = Metrics.counter "balancer.routed";
-        m_answered = Metrics.counter "balancer.answered";
-        m_refused = Metrics.counter "balancer.refused";
-        m_restarts = Metrics.counter "balancer.restarts";
         monitor = None;
         health = None;
       }
@@ -546,14 +536,12 @@ let handle_request t (conns : session_conns) line =
   let p = Protocol.parse line in
   let answer ~req payload =
     Atomic.incr t.answered;
-    Metrics.incr t.m_answered;
     Protocol.respond ~id:p.Protocol.id ~req payload
   in
   let forward ~req ~key =
     let idx = route ~shards:t.cfg.shards key in
     let sh = t.shards.(idx) in
     Atomic.incr sh.routed;
-    Metrics.incr t.m_routed;
     Trace.with_span
       ~attrs:[ ("kind", Trace.Str req); ("shard", Trace.Int idx) ]
       "balancer.route"
@@ -561,11 +549,9 @@ let handle_request t (conns : session_conns) line =
         match shard_rpc t conns sh line with
         | Some response ->
           Atomic.incr t.answered;
-          Metrics.incr t.m_answered;
           response
         | None ->
           Atomic.incr t.refused;
-          Metrics.incr t.m_refused;
           Protocol.respond ~id:p.Protocol.id ~req (shard_unavailable ~index:idx))
   in
   match p.Protocol.body with
@@ -578,7 +564,6 @@ let handle_request t (conns : session_conns) line =
        client reads satisfies accepted = answered + refused with its own
        request included — no perpetual off-by-one in the invariant. *)
     Atomic.incr t.answered;
-    Metrics.incr t.m_answered;
     Protocol.respond ~id:p.Protocol.id ~req:"stats" (stats_payload t)
   | Ok Protocol.Shutdown ->
     begin_drain t;
@@ -604,7 +589,6 @@ let session t () =
            refused with structure. *)
         Atomic.incr t.accepted;
         Atomic.incr t.refused;
-        Metrics.incr t.m_refused;
         Frontend.draining line);
     close = (fun () -> Array.iter (Option.iter Lines.close) conns);
   }

@@ -7,9 +7,8 @@
    itself lives here, once. *)
 
 module J = Crs_util.Stable_json
-module Metrics = Crs_obs.Metrics
 
-let now_s () = Int64.to_float (Crs_obs.Trace.monotonic_ns ()) /. 1e9
+let now_s () = Int64.to_float (Crs_obs.Clock.monotonic_ns ()) /. 1e9
 
 let write_all fd s =
   let len = String.length s in
@@ -138,12 +137,6 @@ let connection_event fd payload =
   try write_all fd (Protocol.respond ~id:None ~req:"connection" payload ^ "\n")
   with Unix.Unix_error _ -> ()
 
-type counter = { n : int Atomic.t; metric : Metrics.counter }
-
-let bump c =
-  Atomic.incr c.n;
-  Metrics.incr c.metric
-
 (* accepted = reader spawned, refused = turned away at max_conns,
    evicted = closed by us (mid-frame deadline or an oversized frame),
    drained = closed during graceful drain. *)
@@ -151,34 +144,31 @@ type t = {
   config : config;
   stopping : unit -> bool;
   live : int Atomic.t;
-  accepted : counter;
-  refused : counter;
-  evicted : counter;
-  drained : counter;
+  accepted : int Atomic.t;
+  refused : int Atomic.t;
+  evicted : int Atomic.t;
+  drained : int Atomic.t;
 }
 
-let create ~name config ~stopping =
+let create config ~stopping =
   (* A dead peer must surface as a connection-local EPIPE, not as the
      process-default SIGPIPE termination. Set here rather than in a main
      so that embedders (tests, benches, the balancer) get the daemon's
      semantics. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
-  let counter what =
-    { n = Atomic.make 0; metric = Metrics.counter (name ^ ".conn." ^ what) }
-  in
   {
     config;
     stopping;
     live = Atomic.make 0;
-    accepted = counter "accepted";
-    refused = counter "refused";
-    evicted = counter "evicted";
-    drained = counter "drained";
+    accepted = Atomic.make 0;
+    refused = Atomic.make 0;
+    evicted = Atomic.make 0;
+    drained = Atomic.make 0;
   }
 
 let connections_json t =
-  let get c = J.int (Atomic.get c.n) in
+  let get c = J.int (Atomic.get c) in
   J.obj
     [
       ("live", J.int (Atomic.get t.live));
@@ -273,13 +263,13 @@ let attach t session fd =
      under the limit. *)
   if Atomic.fetch_and_add t.live 1 >= t.config.max_conns then begin
     Atomic.decr t.live;
-    bump t.refused;
+    Atomic.incr t.refused;
     connection_event fd (Protocol.overloaded ());
     (try Unix.close fd with Unix.Unix_error _ -> ());
     None
   end
   else begin
-    bump t.accepted;
+    Atomic.incr t.accepted;
     let reader () =
       let s = session () in
       Fun.protect
@@ -294,8 +284,8 @@ let attach t session fd =
               ~drain_grace_s:t.config.drain_grace_s
           with
           | Eof -> ()
-          | Evicted -> bump t.evicted
-          | Drained -> bump t.drained
+          | Evicted -> Atomic.incr t.evicted
+          | Drained -> Atomic.incr t.drained
           | exception
               Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
             (* The peer vanished mid-write; its reader dies alone. *)

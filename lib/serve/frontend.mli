@@ -38,9 +38,6 @@ module Lines : sig
   (** One [read(2)]: queue the complete lines it finishes. End of
       stream, or a reset by the peer, sets {!eof}. *)
 
-  val pop_line : t -> string option
-  (** The next queued complete line, without reading. *)
-
   val eof : t -> bool
 
   val recv_line : ?timeout_s:float -> t -> string option
@@ -76,11 +73,10 @@ val draining : string -> string
 
 type t
 
-val create : name:string -> config -> stopping:(unit -> bool) -> t
-(** [name] prefixes the connection metrics ([<name>.conn.accepted],
-    ...). [stopping] is polled by the accept loop and the readers.
-    Also ignores SIGPIPE process-wide, so a vanished peer is an [EPIPE]
-    on its own connection. *)
+val create : config -> stopping:(unit -> bool) -> t
+(** [stopping] is polled by the accept loop and the readers. Also
+    ignores SIGPIPE process-wide, so a vanished peer is an [EPIPE] on
+    its own connection. *)
 
 val attach : t -> (unit -> session) -> Unix.file_descr -> Thread.t option
 (** Register a connected fd: spawn and return its reader thread, which

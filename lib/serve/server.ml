@@ -1,7 +1,7 @@
 module J = Crs_util.Stable_json
 module Registry = Crs_algorithms.Registry
 module Trace = Crs_obs.Trace
-module Metrics = Crs_obs.Metrics
+module Hist = Crs_obs.Hist
 
 type config = {
   workers : int;
@@ -28,65 +28,12 @@ let default_config =
     max_line_bytes = 1 lsl 20;
   }
 
-(* Always-on per-request-kind latency histogram: log2 buckets over
-   microseconds, same bucketing convention as Crs_obs.Metrics (bucket 0
-   holds <= 0, bucket k >= 1 holds 2^(k-1) <= v < 2^k) but readable
-   without enabling the metrics subsystem — the crs-serve/1 stats
-   response must carry latency whether or not an operator turned
-   tracing on. Quantiles are bucket upper edges: coarse (a power of
-   two) but monotone, which is exactly what a p99 regression gate
-   needs. *)
-module Lat = struct
-  let buckets = 40 (* 2^39 us ~ 6.4 days: past any plausible request *)
-
-  type t = { counts : int Atomic.t array; max_us : int Atomic.t }
-
-  let create () =
-    {
-      counts = Array.init buckets (fun _ -> Atomic.make 0);
-      max_us = Atomic.make 0;
-    }
-
-  let bucket_of us =
-    if us <= 0 then 0
-    else
-      let rec bits k v = if v = 0 then k else bits (k + 1) (v lsr 1) in
-      min (buckets - 1) (bits 0 us)
-
-  let observe t us =
-    Atomic.incr t.counts.(bucket_of us);
-    let rec raise_max () =
-      let m = Atomic.get t.max_us in
-      if us > m && not (Atomic.compare_and_set t.max_us m us) then raise_max ()
-    in
-    raise_max ()
-
-  let count t = Array.fold_left (fun acc c -> acc + Atomic.get c) 0 t.counts
-  let max_us t = Atomic.get t.max_us
-
-  (* Upper edge of the bucket holding the q-quantile observation
-     (nearest rank), 0 on an empty histogram. *)
-  let quantile_upper_us t q =
-    let total = count t in
-    if total = 0 then 0
-    else begin
-      let rank = max 1 (int_of_float (ceil (q *. float_of_int total))) in
-      let edge = ref 0 and seen = ref 0 and k = ref 0 in
-      while !seen < rank && !k < buckets do
-        let c = Atomic.get t.counts.(!k) in
-        if c > 0 then begin
-          seen := !seen + c;
-          edge := (if !k = 0 then 0 else 1 lsl !k)
-        end;
-        incr k
-      done;
-      !edge
-    end
-end
-
 (* Request kinds the latency histograms are keyed by: solve and
    campaign are the work kinds, stats is its own (operators watch it),
-   and hello/shutdown/malformed lines fold into "control". *)
+   and hello/shutdown/malformed lines fold into "control". Each kind's
+   histogram is a Crs_obs.Hist over microseconds, always on: the
+   crs-serve/1 stats response carries latency whether or not an
+   operator enabled the metrics registry. *)
 let lat_kinds = [| "solve"; "campaign"; "stats"; "control" |]
 
 let lat_index = function
@@ -140,13 +87,7 @@ type t = {
      still fully alive, which is when a warm-state snapshot is sound. *)
   mutable on_drain : (t -> unit) option;
   drain_hook_fired : bool Atomic.t;
-  lat : Lat.t array; (* indexed by lat_index, always on *)
-  m_requests : Metrics.counter;
-  m_cache_hits : Metrics.counter;
-  m_cache_misses : Metrics.counter;
-  m_overloaded : Metrics.counter;
-  m_timeouts : Metrics.counter;
-  m_lat : Metrics.histogram array; (* mirrors lat when metrics are on *)
+  lat : Hist.t array; (* indexed by lat_index *)
 }
 
 let create config =
@@ -166,7 +107,7 @@ let create config =
         not_applicable = Atomic.make 0;
       };
     front =
-      Frontend.create ~name:"serve"
+      Frontend.create
         {
           Frontend.max_conns = config.max_conns;
           idle_timeout_s = config.idle_timeout_s;
@@ -183,16 +124,7 @@ let create config =
       };
     on_drain = None;
     drain_hook_fired = Atomic.make false;
-    lat = Array.init (Array.length lat_kinds) (fun _ -> Lat.create ());
-    m_requests = Metrics.counter "serve.requests";
-    m_cache_hits = Metrics.counter "serve.cache_hits";
-    m_cache_misses = Metrics.counter "serve.cache_misses";
-    m_overloaded = Metrics.counter "serve.overloaded";
-    m_timeouts = Metrics.counter "serve.timeouts";
-    m_lat =
-      Array.map
-        (fun kind -> Metrics.histogram ("serve.latency." ^ kind))
-        lat_kinds;
+    lat = Array.map (fun _ -> Hist.create ()) lat_kinds;
   }
 
 let stopping t = Atomic.get t.stop
@@ -226,25 +158,21 @@ let drain t =
 
 let count t status =
   Atomic.incr t.c.requests;
-  Metrics.incr t.m_requests;
-  match status with
-  | Ok_ -> Atomic.incr t.c.ok
-  | Error_ -> Atomic.incr t.c.errors
-  | Timeout_ ->
-    Atomic.incr t.c.timeouts;
-    Metrics.incr t.m_timeouts
-  | Overloaded_ ->
-    Atomic.incr t.c.overloaded;
-    Metrics.incr t.m_overloaded
-  | Not_applicable_ -> Atomic.incr t.c.not_applicable
+  Atomic.incr
+    (match status with
+    | Ok_ -> t.c.ok
+    | Error_ -> t.c.errors
+    | Timeout_ -> t.c.timeouts
+    | Overloaded_ -> t.c.overloaded
+    | Not_applicable_ -> t.c.not_applicable)
 
 let lat_json h =
   J.obj
     [
-      ("count", J.int (Lat.count h));
-      ("p50_us", J.int (Lat.quantile_upper_us h 0.50));
-      ("p99_us", J.int (Lat.quantile_upper_us h 0.99));
-      ("max_us", J.int (Lat.max_us h));
+      ("count", J.int (Hist.count h));
+      ("p50_us", J.int (Hist.quantile_upper h 0.50));
+      ("p99_us", J.int (Hist.quantile_upper h 0.99));
+      ("max_us", J.int (Hist.max h));
     ]
 
 let stats_payload t =
@@ -336,11 +264,9 @@ let do_solve t (s : Protocol.solve) =
   in
   match cached with
   | Some (status, payload) ->
-    Metrics.incr t.m_cache_hits;
     Trace.add_attrs [ ("cache", Trace.Str "hit") ];
     (status, payload)
   | None ->
-    if s.cache then Metrics.incr t.m_cache_misses;
     Trace.add_attrs [ ("cache", Trace.Str (if s.cache then "miss" else "off")) ];
     let result =
       match Registry.find s.algorithm with
@@ -414,7 +340,7 @@ let process_batch t lines =
      receive-to-response-assembly, so queue wait behind its batchmates
      (and behind other connections' work) is charged to it — the number
      a client would experience, not just solver time. *)
-  let t0 = Trace.monotonic_ns () in
+  let t0 = Crs_obs.Clock.monotonic_ns () in
   let lines =
     List.filter (fun l -> String.trim l <> "") lines
   in
@@ -460,11 +386,10 @@ let process_batch t lines =
     count t status;
     let response = Protocol.respond ~id:p.id ~req:req_kind payload in
     let dt_us =
-      Int64.to_int (Int64.div (Int64.sub (Trace.monotonic_ns ()) t0) 1000L)
+      Int64.to_int
+        (Int64.div (Int64.sub (Crs_obs.Clock.monotonic_ns ()) t0) 1000L)
     in
-    let ki = lat_index req_kind in
-    Lat.observe t.lat.(ki) dt_us;
-    Metrics.observe t.m_lat.(ki) dt_us;
+    Hist.observe t.lat.(lat_index req_kind) dt_us;
     response
   in
   List.map answer parsed

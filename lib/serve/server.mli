@@ -3,7 +3,9 @@
 
     One server value owns the worker pool ({!Admission}), the
     canonicalizing memo cache ({!Canon.Cache}), the running stats
-    counters and the per-request-kind latency histograms. Its
+    counters and the per-request-kind latency histograms. Each of those
+    numbers is kept once, always on, and read through {!stats_payload};
+    none is mirrored into {!Crs_obs.Metrics}. Its
     per-connection session answers each batch of lines the frontend
     reads with {!process_batch}: work requests (solve, campaign) go
     through admission — shared across all live connections, the
@@ -67,9 +69,9 @@ val stopping : t -> bool
 val stats_payload : t -> (string * string) list
 (** The [stats] response payload (also reachable in-process, e.g. for
     benches that want cache numbers or per-kind latency quantiles
-    without a socket round-trip). Includes the [latency] object (log2
-    histogram summary per request kind: count, p50/p99 bucket upper
-    edges and max, in microseconds) and the [connections] lifecycle
+    without a socket round-trip). Includes the [latency] object (one
+    {!Crs_obs.Hist} per request kind, in microseconds: count, p50/p99
+    bucket upper edges and max) and the [connections] lifecycle
     counters (live/accepted/refused/evicted/drained). *)
 
 val drain : t -> unit

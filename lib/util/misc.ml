@@ -15,12 +15,7 @@ let array_argmax ~compare a =
 let array_argmin ~compare a =
   array_argmax ~compare:(fun x y -> compare y x) a
 
-let list_init_matrix rows cols f =
-  Array.init rows (fun i -> Array.init cols (fun j -> f i j))
-
 let range n = List.init n (fun i -> i)
-
-let sum_by f l = List.fold_left (fun acc x -> acc + f x) 0 l
 
 let rec take n = function
   | [] -> []
@@ -59,5 +54,3 @@ let split_on_string ~sep s =
 let float_mean = function
   | [] -> 0.0
   | l -> List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l)
-
-let float_max l = List.fold_left max neg_infinity l

@@ -10,13 +10,8 @@ val array_argmax : compare:('a -> 'a -> int) -> 'a array -> int
 
 val array_argmin : compare:('a -> 'a -> int) -> 'a array -> int
 
-val list_init_matrix : int -> int -> (int -> int -> 'a) -> 'a array array
-(** [list_init_matrix rows cols f] builds [f i j] for each cell. *)
-
 val range : int -> int list
 (** [range n] is [[0; 1; …; n-1]]. *)
-
-val sum_by : ('a -> int) -> 'a list -> int
 
 val take : int -> 'a list -> 'a list
 val drop : int -> 'a list -> 'a list
@@ -28,6 +23,3 @@ val split_on_string : sep:string -> string -> string list
 
 val float_mean : float list -> float
 (** 0.0 on the empty list. *)
-
-val float_max : float list -> float
-(** neg_infinity on the empty list. *)

@@ -164,7 +164,15 @@ let test_campaign_invalid_spec () =
   let code, out = run_capture "campaign -a no-such-algorithm" in
   Alcotest.(check int) "unknown algorithm exits 1" 1 code;
   Alcotest.(check bool) "lists valid algorithms" true
-    (has "error: invalid campaign:" out && has "valid:" out)
+    (has "error: invalid campaign:" out && has "valid:" out);
+  let code, out = run_capture "trace campaign --seeds 9-2" in
+  Alcotest.(check int) "trace campaign: inverted range exits 1" 1 code;
+  Alcotest.(check bool) "trace campaign: names the range" true
+    (has "error: invalid campaign:" out && has "9..2" out);
+  let code, out = run_capture "trace campaign -f nope" in
+  Alcotest.(check int) "trace campaign: unknown family exits 1" 1 code;
+  Alcotest.(check bool) "trace campaign: names the family" true
+    (has "error: unknown family nope" out)
 
 let test_fuzz_and_replay () =
   (* Same seed range twice: byte-identical reports (at any pool size). *)
@@ -251,17 +259,23 @@ let test_serve_stdio () =
       Alcotest.(check bool) "shutdown acknowledged" true
         (has "\"stopping\":true" out))
 
-(* docs/OPERATIONS.md's flag tables against the binary: every row's
-   default must be the [absent=] value [--help=plain] prints ("off" for
-   a switch or an empty default, "serve defaults" for the flags balance
-   forwards to its shards), and every option needs a row. *)
+(* Each option of [cmd --help=plain] with its [absent=] default, keyed
+   by its long name ("-a ALGO, --algorithm=ALGO" is [--algorithm]) or
+   its only, short one. *)
 let help_defaults cmd =
   let _, out = run_capture (cmd ^ " --help=plain") in
   List.filter_map
     (fun line ->
       match String.split_on_char '(' (String.trim line) with
-      | option :: rest when String.starts_with ~prefix:"--" option ->
-        let flag = List.hd (String.split_on_char '=' (String.trim option)) in
+      | names :: rest when String.starts_with ~prefix:"       -" line ->
+        let name =
+          String.trim (List.hd (List.rev (String.split_on_char ',' names)))
+        in
+        let flag =
+          List.hd
+            (String.split_on_char '='
+               (List.hd (String.split_on_char ' ' name)))
+        in
         let default =
           match rest with
           | [ d ] when String.starts_with ~prefix:"absent=" d ->
@@ -273,6 +287,30 @@ let help_defaults cmd =
       | _ -> None)
     (String.split_on_char '\n' out)
 
+(* `campaign` and `trace campaign` build their spec through one term:
+   every flag they share has one default, apart from the seed range,
+   and only `campaign` chooses a baseline. *)
+let test_campaign_spec_flags () =
+  let campaign = help_defaults "campaign" in
+  let trace = help_defaults "trace campaign" in
+  Alcotest.(check bool) "trace campaign has no --baseline" false
+    (List.mem_assoc "--baseline" trace);
+  let shared = List.filter (fun (flag, _) -> List.mem_assoc flag campaign) trace in
+  Alcotest.(check (list string)) "shared flags"
+    [ "--algorithm"; "--domains"; "--family"; "--fuel"; "--granularity"; "-m";
+      "-n"; "--seeds" ]
+    (List.map fst shared);
+  List.iter
+    (fun (flag, default) ->
+      if flag <> "--seeds" then
+        Alcotest.(check (option string)) (flag ^ " default")
+          (List.assoc flag campaign) default)
+    shared
+
+(* docs/OPERATIONS.md's flag tables against the binary: every row's
+   default must be the [absent=] value [--help=plain] prints ("off" for
+   a switch or an empty default, "serve defaults" for the flags balance
+   forwards to its shards), and every option needs a row. *)
 let doc_flag_rows cmd =
   let doc =
     In_channel.with_open_text
@@ -401,6 +439,8 @@ let suite =
     Alcotest.test_case "campaign end-to-end" `Quick test_campaign;
     Alcotest.test_case "campaign: invalid specs reported" `Quick
       test_campaign_invalid_spec;
+    Alcotest.test_case "campaign | trace campaign: one spec term" `Quick
+      test_campaign_spec_flags;
     Alcotest.test_case "fuzz | replay" `Quick test_fuzz_and_replay;
     Alcotest.test_case "reduce --decide" `Quick test_reduce_decide;
     Alcotest.test_case "bounds" `Quick test_bounds;

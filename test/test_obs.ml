@@ -167,6 +167,28 @@ let test_metrics_counters_gauges () =
       Alcotest.(check bool) "registration is idempotent" true
         (Metrics.counter_value (Metrics.counter "test.c") = 5))
 
+(* Count, sum and (lo, count) buckets of one histogram in a metrics
+   snapshot. *)
+let snapshot_hist doc name =
+  let hist =
+    match Option.bind (J.member "histograms" doc) (J.member name) with
+    | Some h -> h
+    | None -> Alcotest.failf "%s missing" name
+  in
+  let int key =
+    match J.member key hist with
+    | Some (J.Int v) -> v
+    | _ -> Alcotest.failf "%s: %s missing" name key
+  in
+  let bucket b =
+    match (J.member "lo" b, J.member "count" b) with
+    | Some (J.Int lo), Some (J.Int c) -> (lo, c)
+    | _ -> Alcotest.fail "bucket shape"
+  in
+  match J.member "buckets" hist with
+  | Some (J.List buckets) -> (int "count", int "sum", List.map bucket buckets)
+  | _ -> Alcotest.failf "%s: buckets missing" name
+
 let test_metrics_histogram_snapshot () =
   metered (fun () ->
       let h = Metrics.histogram "test.h" in
@@ -175,33 +197,52 @@ let test_metrics_histogram_snapshot () =
       (match J.member "schema" doc with
       | Some (J.Str "crs-metrics/1") -> ()
       | _ -> Alcotest.fail "schema marker missing");
-      let hist =
-        match J.member "histograms" doc with
-        | Some o -> (
-          match J.member "test.h" o with
-          | Some h -> h
-          | None -> Alcotest.fail "test.h missing")
-        | None -> Alcotest.fail "histograms missing"
-      in
-      (match (J.member "count" hist, J.member "sum" hist) with
-      | Some (J.Int 5), Some (J.Int 10) -> ()
-      | _ -> Alcotest.fail "count/sum wrong");
       (* Buckets: 0 -> lo 0; 1 -> lo 1; 2,3 -> lo 2; 4 -> lo 4. *)
-      match J.member "buckets" hist with
-      | Some (J.List buckets) ->
-        let pairs =
-          List.map
-            (fun b ->
-              match (J.member "lo" b, J.member "count" b) with
-              | Some (J.Int lo), Some (J.Int c) -> (lo, c)
-              | _ -> Alcotest.fail "bucket shape")
-            buckets
-        in
-        Alcotest.(check (list (pair int int)))
-          "log-scale buckets"
-          [ (0, 1); (1, 1); (2, 2); (4, 1) ]
-          pairs
-      | _ -> Alcotest.fail "buckets missing")
+      Alcotest.(check (triple int int (list (pair int int))))
+        "count, sum, log-scale buckets"
+        (5, 10, [ (0, 1); (1, 1); (2, 2); (4, 1) ])
+        (snapshot_hist doc "test.h"))
+
+(* The one log2 histogram, on exact values: bucket k >= 1 holds
+   2^(k-1) <= v < 2^k and quantiles read the upper edge 2^k, so the
+   50th of 1..100 (in 32..63) reads 64 and the 99th (in 64..127) 128.
+   A Metrics histogram fed the same values snapshots the same
+   numbers. *)
+let test_hist_exact_values () =
+  let module Hist = Crs_obs.Hist in
+  let summary h = (Hist.count h, Hist.sum h, Hist.max h) in
+  let stats = Alcotest.(triple int int int) in
+  let buckets = Alcotest.(list (pair int int)) in
+  let h = Hist.create () in
+  for v = 1 to 100 do
+    Hist.observe h v
+  done;
+  Alcotest.check stats "1..100: count, sum, max" (100, 5050, 100) (summary h);
+  Alcotest.(check int) "1..100: p50 edge" 64 (Hist.quantile_upper h 0.50);
+  Alcotest.(check int) "1..100: p99 edge" 128 (Hist.quantile_upper h 0.99);
+  Alcotest.check buckets "1..100: buckets"
+    [ (1, 1); (2, 2); (4, 4); (8, 8); (16, 16); (32, 32); (64, 37) ]
+    (Hist.buckets h);
+  metered (fun () ->
+      let m = Metrics.histogram "test.hist" in
+      for v = 1 to 100 do
+        Metrics.observe m v
+      done;
+      Alcotest.(check (triple int int (list (pair int int))))
+        "Metrics histogram snapshot = Hist"
+        (Hist.count h, Hist.sum h, Hist.buckets h)
+        (snapshot_hist (parse_exn "snapshot" (Metrics.snapshot ())) "test.hist"));
+  Hist.reset h;
+  Alcotest.check stats "reset" (0, 0, 0) (summary h);
+  let e = Hist.create () in
+  Alcotest.check stats "empty: count, sum, max" (0, 0, 0) (summary e);
+  Alcotest.(check int) "empty: p99 edge" 0 (Hist.quantile_upper e 0.99);
+  Alcotest.check buckets "empty: no buckets" [] (Hist.buckets e);
+  let z = Hist.create () in
+  List.iter (Hist.observe z) [ 0; -5 ];
+  Alcotest.check stats "0 and -5: count, sum, max" (2, -5, 0) (summary z);
+  Alcotest.check buckets "0 and -5: bucket 0" [ (0, 2) ] (Hist.buckets z);
+  Alcotest.(check int) "0 and -5: p99 edge" 0 (Hist.quantile_upper z 0.99)
 
 (* ---- profiling hooks + determinism across pool sizes ---- *)
 
@@ -346,6 +387,8 @@ let suite =
     Alcotest.test_case "metrics disabled no-op" `Quick test_metrics_disabled_noop;
     Alcotest.test_case "metrics counters and gauges" `Quick
       test_metrics_counters_gauges;
+    Alcotest.test_case "hist: exact values, empty, non-positive" `Quick
+      test_hist_exact_values;
     Alcotest.test_case "metrics histogram snapshot" `Quick
       test_metrics_histogram_snapshot;
     Alcotest.test_case "campaign trace deterministic across pool sizes" `Quick
