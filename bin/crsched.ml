@@ -26,14 +26,14 @@ module Registry = Crs_algorithms.Registry
 
 (* Schedule-producing subcommands (solve, render, graph, normalize,
    export) accept any solver that returns a witness schedule. *)
-let witnessed_solvers = List.filter Registry.witness Registry.all
+let witnessed_solvers = List.filter (fun s -> s.Registry.witness) Registry.all
 
-let algo_conv = Arg.enum (List.map (fun s -> (Registry.name s, s)) witnessed_solvers)
+let algo_conv = Arg.enum (List.map (fun s -> (s.Registry.name, s)) witnessed_solvers)
 
 let algo_arg =
   let doc =
     "Algorithm: "
-    ^ String.concat ", " (List.map Registry.name witnessed_solvers)
+    ^ String.concat ", " (List.map (fun s -> s.Registry.name) witnessed_solvers)
     ^ " (see `crsched algorithms')."
   in
   Arg.(
@@ -68,22 +68,22 @@ let require_unit_size command instance =
 
 let algorithm_rows () =
   List.map
-    (fun s ->
-      let r = Registry.requires s in
+    (fun (s : Registry.solver) ->
+      let r = s.requires in
       let m_range =
-        match r.Registry.max_m with
-        | Some mx when mx = r.Registry.min_m -> string_of_int mx
-        | Some mx -> Printf.sprintf "%d-%d" r.Registry.min_m mx
-        | None -> Printf.sprintf "%d+" r.Registry.min_m
+        match r.max_m with
+        | Some mx when mx = r.min_m -> string_of_int mx
+        | Some mx -> Printf.sprintf "%d-%d" r.min_m mx
+        | None -> Printf.sprintf "%d+" r.min_m
       in
       [
-        Registry.name s;
-        Registry.kind_to_string (Registry.kind s);
+        s.name;
+        Registry.kind_to_string s.kind;
         m_range;
-        (if r.Registry.unit_size_only then "unit" else "any");
-        (if r.Registry.fuel_aware then "yes" else "no");
-        (if Registry.witness s then "yes" else "no");
-        Registry.about s;
+        (if r.unit_size_only then "unit" else "any");
+        (if r.fuel_aware then "yes" else "no");
+        (if s.witness then "yes" else "no");
+        s.about;
       ])
     Registry.all
 
@@ -180,7 +180,7 @@ let solve_cmd =
     let instance = read_instance path in
     let schedule = schedule_of solver instance in
     let trace = Execution.run_exn instance schedule in
-    Printf.printf "%s makespan: %d\n" (Registry.name solver) (Execution.makespan trace);
+    Printf.printf "%s makespan: %d\n" solver.Registry.name (Execution.makespan trace);
     Printf.printf "%s\n" (Crs_render.Gantt.summary trace);
     if gantt then print_string (Crs_render.Gantt.render trace)
   in
@@ -207,7 +207,7 @@ let compare_cmd =
     let names =
       List.filter
         (fun n ->
-          match Registry.kind (Registry.find_exn n) with
+          match (Registry.find_exn n).Registry.kind with
           | Registry.Exact -> exact
           | _ -> true)
         Crs_campaign.Runner.default_names
@@ -271,22 +271,30 @@ let compare_cmd =
 
 (* ---- campaign ---- *)
 
+(* The generator flags of a campaign spec, shared by `campaign`,
+   `trace campaign` and `fuzz`. *)
+let family_arg =
+  Arg.(value & opt string "uniform"
+       & info [ "f"; "family" ] ~docv:"FAMILY"
+           ~doc:"Generator family: uniform, heavy-tailed, balanced.")
+
+let m_arg = Arg.(value & opt int 3 & info [ "m" ] ~doc:"Number of processors.")
+let n_arg = Arg.(value & opt int 3 & info [ "n" ] ~doc:"Jobs per processor.")
+
+let granularity_arg =
+  Arg.(value & opt int 10 & info [ "granularity" ] ~doc:"Requirement grid 1/g.")
+
+let family_or_exit family =
+  match Crs_campaign.Spec.family_of_string family with
+  | Some f -> f
+  | None -> fail ("unknown family " ^ family)
+
 (* The spec flags `campaign` and `trace campaign` share; [seeds] is the
    default range and [baseline] a term, `campaign`'s --baseline flag or
    a constant. The term parses family and baseline and validates the
    spec, exiting 1 with one diagnostic line. A command applies it last,
    so cmdliner reports its own conversion errors first. *)
 let campaign_spec ~seeds ~baseline =
-  let family =
-    Arg.(value & opt string "uniform"
-         & info [ "f"; "family" ] ~docv:"FAMILY"
-             ~doc:"Generator family: uniform, heavy-tailed, balanced.")
-  in
-  let m = Arg.(value & opt int 3 & info [ "m" ] ~doc:"Number of processors.") in
-  let n = Arg.(value & opt int 3 & info [ "n" ] ~doc:"Jobs per processor.") in
-  let granularity =
-    Arg.(value & opt int 10 & info [ "granularity" ] ~doc:"Requirement grid 1/g.")
-  in
   let seeds =
     Arg.(value & opt (pair ~sep:'-' int int) seeds
          & info [ "seeds" ] ~docv:"LO-HI"
@@ -307,11 +315,7 @@ let campaign_spec ~seeds ~baseline =
   in
   let build family m n granularity (seed_lo, seed_hi) algorithms baseline fuel
       =
-    let family =
-      match Crs_campaign.Spec.family_of_string family with
-      | Some f -> f
-      | None -> fail ("unknown family " ^ family)
-    in
+    let family = family_or_exit family in
     let baseline =
       match Crs_campaign.Spec.baseline_of_string baseline with
       | Some b -> b
@@ -336,8 +340,8 @@ let campaign_spec ~seeds ~baseline =
     | Error msg -> fail ("invalid campaign: " ^ msg)
   in
   Term.(
-    const build $ family $ m $ n $ granularity $ seeds $ algos $ baseline
-    $ fuel)
+    const build $ family_arg $ m_arg $ n_arg $ granularity_arg $ seeds $ algos
+    $ baseline $ fuel)
 
 let campaign_cmd =
   let baseline =
@@ -439,16 +443,6 @@ let fuzz_cmd =
          & info [ "seed-range" ] ~docv:"A..B"
              ~doc:"Inclusive seed range; one instance per seed.")
   in
-  let family =
-    Arg.(value & opt string "uniform"
-         & info [ "f"; "family" ] ~docv:"FAMILY"
-             ~doc:"Generator family: uniform, heavy-tailed, balanced.")
-  in
-  let m = Arg.(value & opt int 3 & info [ "m" ] ~doc:"Number of processors.") in
-  let n = Arg.(value & opt int 3 & info [ "n" ] ~doc:"Jobs per processor.") in
-  let granularity =
-    Arg.(value & opt int 10 & info [ "granularity" ] ~doc:"Requirement grid 1/g.")
-  in
   let fuel =
     Arg.(value & opt int 2_000_000
          & info [ "fuel" ]
@@ -471,18 +465,12 @@ let fuzz_cmd =
                    DIR with expect=\"fail\"; flip to \"pass\" once fixed.")
   in
   let run oracles seed_range family m n granularity fuel domains shrink pin =
-    let fam =
-      match Crs_campaign.Spec.family_of_string family with
-      | Some f -> f
-      | None ->
-        Printf.eprintf "error: unknown family %s\n" family;
-        exit 1
-    in
+    let family = family_or_exit family in
     let seed_lo, seed_hi =
       let bad () =
-        Printf.eprintf "error: bad seed range %s (expected A..B with A <= B)\n"
-          seed_range;
-        exit 1
+        fail
+          (Printf.sprintf "bad seed range %s (expected A..B with A <= B)"
+             seed_range)
       in
       match String.index_opt seed_range '.' with
       | Some i
@@ -506,26 +494,32 @@ let fuzz_cmd =
             match Crs_fuzz.Oracle.find name with
             | Some o -> o
             | None ->
-              Printf.eprintf "error: unknown oracle %s (valid: %s)\n" name
-                (String.concat ", " Crs_fuzz.Oracle.names);
-              exit 1)
+              fail
+                (Printf.sprintf "unknown oracle %s (valid: %s)" name
+                   (String.concat ", " Crs_fuzz.Oracle.names)))
           names
     in
-    let config =
-      {
-        Crs_fuzz.Driver.family = fam;
-        m;
-        n;
-        granularity;
-        seed_lo;
-        seed_hi;
-        fuel = (if fuel = 0 then None else Some fuel);
-      }
+    let spec =
+      match
+        Crs_campaign.Spec.validate
+          {
+            Crs_campaign.Spec.default with
+            family;
+            m;
+            n;
+            granularity;
+            seed_lo;
+            seed_hi;
+            fuel = (if fuel = 0 then None else Some fuel);
+          }
+      with
+      | Ok spec -> spec
+      | Error msg -> fail ("invalid fuzz spec: " ^ msg)
     in
     let any_failure = ref false in
     List.iter
       (fun oracle ->
-        let report = Crs_fuzz.Driver.run ~domains config oracle in
+        let report = Crs_fuzz.Driver.run ~domains spec oracle in
         print_string (Crs_fuzz.Driver.render report);
         let failing = Crs_fuzz.Driver.failing_cases report in
         if failing <> [] then any_failure := true;
@@ -533,7 +527,7 @@ let fuzz_cmd =
           List.iter
             (fun (seed, _) ->
               let minimized, stats =
-                Crs_fuzz.Driver.shrink_failure config oracle ~seed
+                Crs_fuzz.Driver.shrink_failure spec oracle ~seed
               in
               let msg =
                 match oracle.Crs_fuzz.Oracle.check minimized with
@@ -560,7 +554,7 @@ let fuzz_cmd =
                     ~note:
                       (Printf.sprintf
                          "shrunken counterexample from fuzz seed %d (%s)" seed
-                         (Crs_campaign.Spec.family_to_string fam))
+                         (Crs_campaign.Spec.family_to_string family))
                     minimized
                 in
                 Printf.printf "pinned %s\n" (Crs_fuzz.Corpus.save ~dir entry))
@@ -585,8 +579,8 @@ let fuzz_cmd =
               `crsched replay'. Exits 1 if any oracle failed.";
          ])
     Term.(
-      const run $ oracles $ seed_range $ family $ m $ n $ granularity $ fuel
-      $ domains $ shrink $ pin)
+      const run $ oracles $ seed_range $ family_arg $ m_arg $ n_arg
+      $ granularity_arg $ fuel $ domains $ shrink $ pin)
 
 let replay_cmd =
   let dir =
@@ -631,7 +625,7 @@ let render_cmd =
   let run path solver =
     let instance = read_instance path in
     let trace = Execution.run_exn instance (schedule_of solver instance) in
-    Printf.printf "algorithm: %s\n%s\n" (Registry.name solver)
+    Printf.printf "algorithm: %s\n%s\n" solver.Registry.name
       (Crs_render.Gantt.summary trace);
     print_string (Crs_render.Gantt.render trace);
     print_newline ();
@@ -671,7 +665,7 @@ let normalize_cmd =
     let normalized = Transform.normalize instance schedule in
     let before = Execution.run_exn instance schedule in
     let after = Execution.run_exn instance normalized in
-    Printf.printf "input  (%s): %s\n" (Registry.name solver)
+    Printf.printf "input  (%s): %s\n" solver.Registry.name
       (Crs_render.Gantt.summary before);
     Printf.printf "output (Lemma 1): %s\n" (Crs_render.Gantt.summary after);
     print_string (Crs_render.Gantt.render after)
@@ -795,7 +789,7 @@ let export_cmd =
     let instance = read_instance path in
     let schedule = schedule_of solver instance in
     let trace = Execution.run_exn instance schedule in
-    Printf.printf "%s: %s\n" (Registry.name solver) (Crs_render.Gantt.summary trace);
+    Printf.printf "%s: %s\n" solver.Registry.name (Crs_render.Gantt.summary trace);
     Option.iter
       (fun f ->
         Crs_render.Export.save f (Crs_render.Export.trace_to_csv trace);
@@ -967,7 +961,7 @@ let trace_solve_cmd =
     let result = solve_or_exit solver instance in
     Crs_obs.Trace.set_enabled false;
     Crs_obs.Metrics.set_enabled false;
-    Printf.printf "%s makespan: %d\n\nspan tree:\n%s\n" (Registry.name solver)
+    Printf.printf "%s makespan: %d\n\nspan tree:\n%s\n" solver.Registry.name
       result.Registry.makespan
       (Crs_obs.Trace.signature ());
     write_trace ~jsonl out;

@@ -70,46 +70,45 @@ type outcome = {
   counters : Counters.t;
 }
 
-module type SOLVER = sig
-  val name : string
-  val kind : kind
-  val about : string
-  val requires : requires
-  val witness : bool
-  val solve : Instance.t -> outcome
-end
-
-type solver = (module SOLVER)
+type solver = {
+  name : string;
+  kind : kind;
+  about : string;
+  requires : requires;
+  witness : bool;
+  solve : Instance.t -> outcome;
+}
 
 type failure = Inapplicable of string | Timeout of int
-
-let make ~name:n ~kind:k ~about:a ~requires:r ~witness:w f : solver =
-  (module struct
-    let name = n
-    let kind = k
-    let about = a
-    let requires = r
-    let witness = w
-    let solve = f
-  end)
 
 (* A step policy run to completion: witness schedule, no native
    counters (Fuel delta covers nothing — policies don't tick). *)
 let of_policy (name, kind, about, policy) =
-  make ~name ~kind ~about
-    ~requires:{ min_m = 1; max_m = None; unit_size_only = false; fuel_aware = false }
-    ~witness:true (fun instance ->
-      let schedule = Policy.run policy instance in
-      let makespan = Execution.makespan (Execution.run_exn instance schedule) in
-      { makespan; schedule = Some schedule; counters = Counters.zero })
+  {
+    name;
+    kind;
+    about;
+    requires = { min_m = 1; max_m = None; unit_size_only = false; fuel_aware = false };
+    witness = true;
+    solve =
+      (fun instance ->
+        let schedule = Policy.run policy instance in
+        let makespan = Execution.makespan (Execution.run_exn instance schedule) in
+        { makespan; schedule = Some schedule; counters = Counters.zero });
+  }
 
 (* Every exact solver needs unit-size jobs and ticks fuel; they differ
    in the processor counts they accept, whether they build a witness,
    and how their native counters map onto {!Counters}. *)
-let exact ~name ~about ?max_m ~min_m ~witness f =
-  make ~name ~kind:Exact ~about
-    ~requires:{ min_m; max_m; unit_size_only = true; fuel_aware = true }
-    ~witness f
+let exact ~name ~about ?max_m ~min_m ~witness solve =
+  {
+    name;
+    kind = Exact;
+    about;
+    requires = { min_m; max_m; unit_size_only = true; fuel_aware = true };
+    witness;
+    solve;
+  }
 
 let opt_two instance =
   let sol = Opt_two.solve instance in
@@ -222,28 +221,8 @@ let online_table =
 let all : solver list =
   List.map of_policy policy_table @ exact_table @ List.map of_policy online_table
 
-let name (solver : solver) =
-  let module S = (val solver) in
-  S.name
-
-let kind (solver : solver) =
-  let module S = (val solver) in
-  S.kind
-
-let about (solver : solver) =
-  let module S = (val solver) in
-  S.about
-
-let requires (solver : solver) =
-  let module S = (val solver) in
-  S.requires
-
-let witness (solver : solver) =
-  let module S = (val solver) in
-  S.witness
-
-let names = List.map name all
-let find wanted = List.find_opt (fun s -> String.equal (name s) wanted) all
+let names = List.map (fun s -> s.name) all
+let find wanted = List.find_opt (fun s -> String.equal s.name wanted) all
 
 let find_exn wanted =
   match find wanted with
@@ -254,8 +233,8 @@ let find_exn wanted =
          (String.concat ", " names))
 
 let applicability solver instance =
-  let r = requires solver in
-  let n = name solver in
+  let r = solver.requires in
+  let n = solver.name in
   let m = Instance.m instance in
   if m < r.min_m then
     Error (Printf.sprintf "%s requires m >= %d, instance has m = %d" n r.min_m m)
@@ -268,24 +247,13 @@ let applicability solver instance =
         Error (Printf.sprintf "%s requires unit-size jobs" n)
       else Ok ()
 
-(* Certifier hook for the ~certify:true post-pass. The independent
-   certifier lives in crs_fuzz (which depends on this library), so it is
-   injected as a function rather than called directly; linking
-   Crs_fuzz.Certify installs it. *)
-let certifier :
-    (Instance.t -> Schedule.t -> claimed:int -> (unit, string) result) option ref =
-  ref None
-
-let install_certifier f = certifier := Some f
-
-let run ?fuel ?(certify = false) solver instance =
+let run ?fuel solver instance =
   match applicability solver instance with
   | Error reason -> Error (Inapplicable reason)
   | Ok () -> (
-    let module S = (val solver : SOLVER) in
     let before = Crs_util.Fuel.ticks () in
     let metered () =
-      let out = S.solve instance in
+      let out = solver.solve instance in
       let spent = Crs_util.Fuel.ticks () - before in
       { out with counters = { out.counters with Counters.fuel_ticks = spent } }
     in
@@ -296,7 +264,7 @@ let run ?fuel ?(certify = false) solver instance =
     let traced () =
       if Crs_obs.Trace.enabled () then
         Crs_obs.Trace.with_span
-          ~attrs:[ ("algorithm", Crs_obs.Trace.Str S.name) ]
+          ~attrs:[ ("algorithm", Crs_obs.Trace.Str solver.name) ]
           "registry.solve"
           (fun () ->
             let out = metered () in
@@ -322,29 +290,13 @@ let run ?fuel ?(certify = false) solver instance =
         List.iter
           (fun (k, v) ->
             Crs_obs.Metrics.add
-              (Crs_obs.Metrics.counter (Printf.sprintf "solver.%s.%s" S.name k))
+              (Crs_obs.Metrics.counter (Printf.sprintf "solver.%s.%s" solver.name k))
               v)
           (("solves", 1) :: Counters.to_assoc out.counters);
-      (if certify then
-         match out.schedule with
-         | None -> () (* makespan-only solver: nothing to audit *)
-         | Some schedule -> (
-           match !certifier with
-           | None ->
-             failwith
-               "Registry.run: certify requested but no certifier installed \
-                (link Crs_fuzz.Certify)"
-           | Some audit -> (
-             match audit instance schedule ~claimed:out.makespan with
-             | Ok () -> ()
-             | Error msg ->
-               failwith
-                 (Printf.sprintf "Registry.run: %s failed certification: %s"
-                    S.name msg))));
       Ok out)
 
-let solve ?certify solver instance =
-  match run ?certify solver instance with
+let solve solver instance =
+  match run solver instance with
   | Ok out -> out
   | Error (Inapplicable reason) -> invalid_arg ("Registry.solve: " ^ reason)
   | Error (Timeout _) -> assert false (* no budget without [~fuel] *)

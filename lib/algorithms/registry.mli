@@ -2,11 +2,10 @@
 
     Every algorithm in the repo — the paper's exact solvers, its
     2-approximations, the baseline heuristics and the semi-online
-    variants — is exposed as a first-class module implementing
-    {!SOLVER}: a canonical name, a {!kind}, a capability record
-    ({!requires}) saying which instances it accepts, and a uniform
-    [solve] returning the makespan, an optional witness schedule and
-    structured work counters ({!Counters.t}).
+    variants — is a {!solver} record: a canonical name, a {!kind}, a
+    capability record ({!requires}) saying which instances it accepts,
+    and a uniform [solve] returning the makespan, an optional witness
+    schedule and structured work counters ({!Counters.t}).
 
     The registry is the single source of truth for algorithm name
     strings and for how a solve is metered: the CLI derives its
@@ -83,21 +82,16 @@ type outcome = {
   counters : Counters.t;
 }
 
-module type SOLVER = sig
-  val name : string
-  val kind : kind
-  val about : string
-  (** One-line description for tables and [--help]. *)
-
-  val requires : requires
-
-  val witness : bool
-  (** [solve] always returns [Some schedule]. *)
-
-  val solve : Crs_core.Instance.t -> outcome
-end
-
-type solver = (module SOLVER)
+type solver = {
+  name : string;
+  kind : kind;
+  about : string;  (** One-line description for tables and [--help]. *)
+  requires : requires;
+  witness : bool;  (** [solve] always returns [Some schedule]. *)
+  solve : Crs_core.Instance.t -> outcome;
+      (** The bare solve: no capability check, budget or metering —
+          callers go through {!run}. *)
+}
 
 (** Why {!run} returned no outcome. *)
 type failure =
@@ -120,55 +114,28 @@ val find : string -> solver option
 val find_exn : string -> solver
 (** @raise Invalid_argument on an unknown name, listing valid ones. *)
 
-(** {2 Projections} *)
-
-val name : solver -> string
-val kind : solver -> kind
-val about : solver -> string
-val requires : solver -> requires
-val witness : solver -> bool
-
 val applicability : solver -> Crs_core.Instance.t -> (unit, string) result
 (** [Ok ()] when the instance satisfies the solver's {!requires};
     otherwise [Error reason] with a human-readable sentence. *)
 
 val run :
-  ?fuel:int ->
-  ?certify:bool ->
-  solver ->
-  Crs_core.Instance.t ->
-  (outcome, failure) result
+  ?fuel:int -> solver -> Crs_core.Instance.t -> (outcome, failure) result
 (** The one metered solve: checks {!applicability}, runs the solver
     under a {!Crs_util.Fuel} budget of [fuel] ticks, and fills
     [counters.fuel_ticks] with the {!Crs_util.Fuel.ticks} delta. The
     budget encloses the [registry.solve] trace span. Without [~fuel] no
     budget of its own is set: an enclosing {!Crs_util.Fuel.with_fuel}
     still raises {!Crs_util.Fuel.Out_of_fuel} to its owner, and
-    [Timeout] is never returned. With [~certify:true], a witness outcome
-    is additionally audited by the installed independent certifier (see
-    {!install_certifier}): feasibility, job order, completion, and the
-    claimed makespan are re-derived from the schedule alone.
-    Makespan-only outcomes are passed through unaudited.
-    @raise Failure when certification fails, or when [~certify:true] is
-    requested with no certifier installed. Exceptions of the solver
-    itself propagate. *)
+    [Timeout] is never returned. The outcome is not audited here: a
+    caller that wants a witness certified checks it itself (the serve
+    tier does so for ["certify":true] requests).
+    Exceptions of the solver itself propagate. *)
 
-val solve : ?certify:bool -> solver -> Crs_core.Instance.t -> outcome
+val solve : solver -> Crs_core.Instance.t -> outcome
 (** {!run} without a budget, for callers that have already ruled out
     inapplicable instances.
     @raise Invalid_argument ["Registry.solve: <reason>"] when the
     instance is not applicable. *)
-
-val install_certifier :
-  (Crs_core.Instance.t ->
-  Crs_core.Schedule.t ->
-  claimed:int ->
-  (unit, string) result) ->
-  unit
-(** Install the post-pass used by [run ~certify:true]. The certifier
-    itself lives in [crs_fuzz] (which depends on this library), so it is
-    injected here rather than referenced directly; linking
-    [Crs_fuzz.Certify] installs the real one. *)
 
 val policies : (string * Crs_core.Policy.t) list
 (** The policy-backed solvers (kinds [Approx], [Heuristic], [Online]) as

@@ -8,7 +8,7 @@ module Registry = Crs_algorithms.Registry
 let default_names =
   List.filter
     (fun n ->
-      match Registry.kind (Registry.find_exn n) with
+      match (Registry.find_exn n).Registry.kind with
       | Registry.Exact -> String.equal n Registry.Names.optimal
       | _ -> true)
     Registry.names
@@ -129,30 +129,29 @@ let seed_records spec ~seed ~first_id algorithms =
 let run_item spec (item : Spec.item) =
   List.hd (seed_records spec ~seed:item.seed ~first_id:item.id [ item.algorithm ])
 
-let run ?(domains = 1) spec =
+let map_seeds ?(domains = 1) spec f =
+  let seeds = Array.init (Spec.seed_count spec) (fun k -> spec.Spec.seed_lo + k) in
+  if domains <= 1 then Array.map f seeds
+  else begin
+    (* Submit chunked slices of seeds directly to the work-stealing
+       executor. Chunks only bound the submission overhead; load
+       balancing across uneven seed costs comes from stealing, so a
+       domain that drew the cheap seeds takes slices from the one that
+       drew the brute-force-heavy ones. Results stay in seed order
+       because each slice writes only its own slots. *)
+    let chunk = Stdlib.max 1 (Array.length seeds / (domains * 8)) in
+    Crs_exec.Exec.map ~chunk ~domains f seeds
+  end
+
+let run ?domains spec =
   match Spec.validate spec with
   | Stdlib.Error msg -> invalid_arg ("Runner.run: " ^ msg)
   | Ok spec ->
     let k = List.length spec.Spec.algorithms in
-    let task i =
-      seed_records spec ~seed:(spec.Spec.seed_lo + i) ~first_id:(i * k)
-        spec.Spec.algorithms
-    in
-    let seeds = Array.init (Spec.seed_count spec) Fun.id in
-    let per_seed =
-      if domains <= 1 then Array.map task seeds
-      else begin
-        (* Submit chunked slices of seeds directly to the work-stealing
-           executor. Chunks only bound the submission overhead; load
-           balancing across uneven seed costs comes from stealing, so a
-           domain that drew the cheap seeds takes slices from the one
-           that drew the brute-force-heavy ones. Results stay in seed
-           order because each slice writes only its own slots. *)
-        let chunk = Stdlib.max 1 (Array.length seeds / (domains * 8)) in
-        Crs_exec.Exec.map ~chunk ~domains task seeds
-      end
-    in
-    Array.of_list (List.concat (Array.to_list per_seed))
+    map_seeds ?domains spec (fun seed ->
+        seed_records spec ~seed ~first_id:((seed - spec.Spec.seed_lo) * k)
+          spec.Spec.algorithms)
+    |> Array.to_list |> List.concat |> Array.of_list
 
 let compare_records ?(names = default_names) ?(baseline = Spec.Exact) ?fuel
     ~family instance =

@@ -35,11 +35,16 @@ val run_item : Spec.t -> Spec.item -> Report.record
     algorithm's solve completed. *)
 
 val run : ?domains:int -> Spec.t -> Report.record array
-(** Run the whole campaign, one task per seed; records are in item order
-    ({!Spec.expand}'s ids) regardless of the pool size. [domains <= 1]
-    (default) runs sequentially in the calling domain; larger values use
-    {!Crs_exec.Exec.map}.
+(** Run the whole campaign, one {!map_seeds} task per seed; records are
+    in item order ({!Spec.expand}'s ids) regardless of the pool size.
     @raise Invalid_argument when {!Spec.validate} rejects the spec. *)
+
+val map_seeds : ?domains:int -> Spec.t -> (int -> 'a) -> 'a array
+(** [f] applied to every seed of the spec's range, results in seed
+    order. [domains <= 1] (default) runs in the calling domain; larger
+    values run {!Crs_exec.Exec.map} in slices of
+    [seeds / (domains * 8)] seeds (at least one). The one seed fan-out
+    of campaigns and fuzz sweeps. *)
 
 val compare_records :
   ?names:string list ->

@@ -33,10 +33,8 @@ type t = {
   inject_len : int Atomic.t;  (* mirror of Queue.length, readable lock-free *)
   pending : int Atomic.t;  (* submitted but not yet finished *)
   stopping : bool Atomic.t;
-  failed : exn option Atomic.t;  (* first task exception, CAS first-writer-wins *)
   park_mutex : Mutex.t;
   work_cond : Condition.t;  (* parked workers wait here *)
-  done_cond : Condition.t;  (* await_all waits here *)
   sleepers : int Atomic.t;
   mutable workers : unit Domain.t array;
   (* Always-on saturation counters (cheap atomics, feed [stats]). *)
@@ -63,7 +61,7 @@ type stats = {
 let next_id = Atomic.make 0
 
 (* Which executor/worker the current domain is running for, if any.
-   Lets [submit] from inside a task push lock-free onto the running
+   Lets [push] from inside a task push lock-free onto the running
    worker's own deque instead of the injector. *)
 let ctx_key : (int * int) option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
@@ -90,9 +88,13 @@ let note_push t wid =
   if wid >= 0 && Metrics.enabled () then
     Metrics.observe t.depth_hist.(wid) (Deque.size t.deques.(wid))
 
-let submit t task =
+(* Enqueue a {!Batch} wrapper — the only kind of queued task: onto the
+   running worker's own deque from inside one of this executor's tasks,
+   else through the injector. The wrapper never raises and retires
+   [pending] itself, so workers just call it. *)
+let push t task =
   if Atomic.get t.stopping then
-    invalid_arg "Exec.submit: executor is shut down";
+    invalid_arg "Exec.Batch.submit: executor is shut down";
   Atomic.incr t.pending;
   (match !(Domain.DLS.get ctx_key) with
   | Some (eid, wid) when eid = t.id ->
@@ -105,19 +107,6 @@ let submit t task =
     Mutex.unlock t.inject_mutex;
     note_push t (-1));
   wake_workers t
-
-let run_task t task =
-  (match task () with
-  | () -> ()
-  | exception e ->
-    (* First failure wins; later ones are dropped, matching the old
-       pool's contract. *)
-    ignore (Atomic.compare_and_set t.failed None (Some e)));
-  if Atomic.fetch_and_add t.pending (-1) = 1 then begin
-    Mutex.lock t.park_mutex;
-    Condition.broadcast t.done_cond;
-    Mutex.unlock t.park_mutex
-  end
 
 (* Grab a batch from the injector: take one task to run now and up to a
    1/workers share of the rest into our own deque (stealable by the
@@ -194,32 +183,30 @@ let worker t wid =
   let backoff = ref 0 in
   let continue = ref true in
   while !continue do
-    match Deque.pop own with
+    let next =
+      match Deque.pop own with
+      | Some _ as task -> task
+      | None -> (
+        match grab_injected t wid with
+        | Some _ as task -> task
+        | None -> try_steal t wid rng)
+    in
+    match next with
     | Some task ->
       backoff := 0;
-      run_task t task
-    | None -> (
-      match grab_injected t wid with
-      | Some task ->
-        backoff := 0;
-        run_task t task
-      | None -> (
-        match try_steal t wid rng with
-        | Some task ->
-          backoff := 0;
-          run_task t task
-        | None ->
-          if Atomic.get t.stopping && not (has_work t) then continue := false
-          else if !backoff < max_spin then begin
-            for _ = 1 to 1 lsl !backoff do
-              Domain.cpu_relax ()
-            done;
-            incr backoff
-          end
-          else begin
-            park t;
-            backoff := 0
-          end))
+      task ()
+    | None ->
+      if Atomic.get t.stopping && not (has_work t) then continue := false
+      else if !backoff < max_spin then begin
+        for _ = 1 to 1 lsl !backoff do
+          Domain.cpu_relax ()
+        done;
+        incr backoff
+      end
+      else begin
+        park t;
+        backoff := 0
+      end
   done;
   Domain.DLS.get ctx_key := None
 
@@ -235,10 +222,8 @@ let create ~domains =
       inject_len = Atomic.make 0;
       pending = Atomic.make 0;
       stopping = Atomic.make false;
-      failed = Atomic.make None;
       park_mutex = Mutex.create ();
       work_cond = Condition.create ();
-      done_cond = Condition.create ();
       sleepers = Atomic.make 0;
       workers = [||];
       s_pushes = Atomic.make 0;
@@ -255,21 +240,13 @@ let create ~domains =
   t.workers <- Array.init domains (fun wid -> Domain.spawn (fun () -> worker t wid));
   t
 
-let await_all t =
-  Mutex.lock t.park_mutex;
-  while Atomic.get t.pending > 0 do
-    Condition.wait t.done_cond t.park_mutex
-  done;
-  Mutex.unlock t.park_mutex;
-  Atomic.exchange t.failed None
-
 let pending t = Atomic.get t.pending
 
-(* Per-batch completion: the wrapper settles the batch's own pending
-   counter and failure slot, then the executor's run_task settles the
-   global ones. The wrapper never raises, so a batch task's exception
-   stays in its batch and cannot leak into the executor-wide [failed]
-   slot that await_all reads. *)
+(* Per-batch completion: the wrapper records the task's exception in the
+   batch's failure slot — the one place a task's exception stops, so
+   the wrapper never raises — retires the executor-wide [pending], and
+   then settles the batch's own counter, so [pending] already excludes
+   a batch's tasks when its [await] returns. *)
 module Batch = struct
   type exec = t
 
@@ -293,11 +270,12 @@ module Batch = struct
   let submit b task =
     Atomic.incr b.pending;
     match
-      submit b.exec (fun () ->
+      push b.exec (fun () ->
           (match task () with
           | () -> ()
           | exception e ->
             ignore (Atomic.compare_and_set b.failed None (Some e)));
+          Atomic.decr b.exec.pending;
           if Atomic.fetch_and_add b.pending (-1) = 1 then begin
             (* The broadcast runs under the batch mutex, so it cannot
                land between await's pending check and its wait. *)
@@ -308,7 +286,7 @@ module Batch = struct
     with
     | () -> ()
     | exception e ->
-      (* submit refused (executor shut down): the task never ran. *)
+      (* push refused (executor shut down): the task never ran. *)
       Atomic.decr b.pending;
       raise e
 
@@ -321,11 +299,8 @@ module Batch = struct
     Atomic.exchange b.failed None
 end
 
-(* [queued] counts tasks waiting to run (injector + deques), not
-   [pending]: pending also covers tasks whose body has returned but
-   whose worker hasn't retired the bookkeeping yet — a Batch.await
-   caller reading stats right after completion would see a phantom
-   backlog. *)
+(* [queued] counts tasks waiting to run (injector + deques); [pending]
+   also covers the running ones. *)
 let stats t =
   {
     workers = size t;
@@ -353,9 +328,10 @@ let shutdown t =
        its task after every worker observed an empty executor and
        exited. Run such stragglers here — workers are joined, so this
        thread is the sole accessor — keeping the contract that
-       [pending] reaches zero and a blocked [await_all] returns.
-       Tasks cannot spawn new tasks now: [submit] raises on a stopped
-       executor, and that exception is contained like any other. *)
+       [pending] reaches zero and a blocked [Batch.await] returns.
+       Tasks cannot spawn new tasks now: [push] raises on a stopped
+       executor, and that exception stops in the task's batch like any
+       other. *)
     let rec drain_inject () =
       Mutex.lock t.inject_mutex;
       let task =
@@ -365,7 +341,7 @@ let shutdown t =
       Mutex.unlock t.inject_mutex;
       match task with
       | Some task ->
-        run_task t task;
+        task ();
         drain_inject ()
       | None -> ()
     in
@@ -375,7 +351,7 @@ let shutdown t =
         let rec drain () =
           match Deque.pop d with
           | Some task ->
-            run_task t task;
+            task ();
             drain ()
           | None -> ()
         in
@@ -387,28 +363,24 @@ let with_exec ~domains f =
   let t = create ~domains in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
-let map_on ?(chunk = 1) t f input =
-  if chunk < 1 then invalid_arg "Exec.map: chunk must be >= 1";
-  let n = Array.length input in
-  if n = 0 then [||]
-  else begin
-    let results = Array.make n None in
-    (* One task per contiguous slice: slice [lo, hi] carries its
-       sequence ids as the indices themselves, and writes only its own
-       slots — order-preserving under any steal schedule. *)
-    let i = ref 0 in
-    while !i < n do
-      let lo = !i in
-      let hi = Stdlib.min n (lo + chunk) - 1 in
-      submit t (fun () ->
-          for k = lo to hi do
-            results.(k) <- Some (f input.(k))
-          done);
-      i := hi + 1
-    done;
-    (match await_all t with None -> () | Some e -> raise e);
-    Array.map (function Some r -> r | None -> assert false) results
-  end
-
-let map ?chunk ~domains f input =
-  with_exec ~domains (fun t -> map_on ?chunk t f input)
+let map ?(chunk = 1) ~domains f input =
+  with_exec ~domains (fun t ->
+      if chunk < 1 then invalid_arg "Exec.map: chunk must be >= 1";
+      let n = Array.length input in
+      let results = Array.make n None in
+      let batch = Batch.create t in
+      (* One task per contiguous slice: slice [lo, hi] carries its
+         sequence ids as the indices themselves, and writes only its own
+         slots — order-preserving under any steal schedule. *)
+      let i = ref 0 in
+      while !i < n do
+        let lo = !i in
+        let hi = Stdlib.min n (lo + chunk) - 1 in
+        Batch.submit batch (fun () ->
+            for k = lo to hi do
+              results.(k) <- Some (f input.(k))
+            done);
+        i := hi + 1
+      done;
+      (match Batch.await batch with None -> () | Some e -> raise e);
+      Array.map (function Some r -> r | None -> assert false) results)

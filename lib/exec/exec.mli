@@ -19,9 +19,9 @@
 
     {2 Exception containment}
 
-    A raising task never kills its worker: the first exception is
-    recorded (atomically — first writer wins) and returned by
-    {!await_all}; remaining tasks still run.
+    A raising task never kills its worker: its {!Batch} records the
+    first exception (atomically — first writer wins) and returns it from
+    {!Batch.await}; the batch's remaining tasks still run.
 
     {2 Observability}
 
@@ -54,41 +54,18 @@ val create : domains:int -> t
 val size : t -> int
 (** Number of worker domains. *)
 
-val submit : t -> (unit -> unit) -> unit
-(** Enqueue a task. From outside the executor this goes through the
-    injector queue; from inside a task it pushes onto the running
-    worker's own deque (lock-free), so tasks may submit further tasks.
-    Submitting should not race {!shutdown}: a racing submit either
-    raises or has its task executed on the shutting-down thread during
-    the drain — it is never silently dropped.
-    @raise Invalid_argument after {!shutdown}. *)
-
-val await_all : t -> exn option
-(** Block until every submitted task has finished. Returns the first
-    exception any task raised ([None] when all succeeded) and clears
-    it, so the executor can be reused for another batch.
-
-    Batches must be {i sequential}: completion is tracked by one
-    executor-wide pending counter and one first-failure slot, so two
-    overlapping submit/await_all rounds on the same executor would wait
-    on each other's tasks and could misattribute each other's first
-    exception. Callers multiplexing an executor (e.g. the multi-accept
-    serve frontend) must use {!Batch} handles, which scope completion
-    and failure to one batch. *)
-
 val pending : t -> int
 (** Tasks submitted and not yet finished — the backlog admission
     control sheds against. *)
 
-(** Per-batch completion handles, for callers that multiplex one
-    executor from several threads (the multi-connection serve frontend:
-    one reader per connection, each processing its own batches).
-    Unlike {!await_all}, a batch tracks only its own tasks — its own
-    pending counter and first-failure slot — so overlapping batches on
-    the same executor neither wait on each other's tasks nor steal each
-    other's exceptions. Batch tasks still count toward the executor's
-    {!pending} (admission budgets keep working) and are drained by
-    {!shutdown} like any other task. *)
+(** Batches are the one way to submit work and wait for it. A batch
+    tracks only its own tasks — its own pending counter and
+    first-failure slot — so overlapping batches on the same executor
+    (the multi-connection serve frontend: one reader per connection,
+    each processing its own batches) neither wait on each other's tasks
+    nor steal each other's exceptions. Batch tasks still count toward
+    the executor's {!pending} (admission budgets keep working) and are
+    drained by {!shutdown}. *)
 module Batch : sig
   type exec := t
   type t
@@ -97,7 +74,13 @@ module Batch : sig
   (** A fresh handle; cheap enough to build per request batch. *)
 
   val submit : t -> (unit -> unit) -> unit
-  (** Enqueue a task charged to this batch.
+  (** Enqueue a task charged to this batch. From outside the executor
+      this goes through the injector queue; from inside a task it
+      pushes onto the running worker's own deque (lock-free), so tasks
+      may submit further tasks. Submitting should not race
+      {!shutdown}: a racing submit either raises or has its task
+      executed on the shutting-down thread during the drain — it is
+      never silently dropped.
       @raise Invalid_argument after the executor's {!shutdown}. *)
 
   val await : t -> exn option
@@ -111,9 +94,9 @@ val stats : t -> stats
 
 val shutdown : t -> unit
 (** Let the workers drain all remaining work, then join them. Any task
-    a racing {!submit} managed to land after the workers exited is run
-    on the calling thread before returning, so [pending] always reaches
-    zero. Idempotent. *)
+    a racing {!Batch.submit} managed to land after the workers exited is
+    run on the calling thread before returning, so [pending] always
+    reaches zero. Idempotent. *)
 
 val with_exec : domains:int -> (t -> 'a) -> 'a
 (** [create], run, then {!shutdown} — even on exceptions. *)

@@ -129,14 +129,3 @@ let check instance schedule ~claimed =
                "certify: claimed makespan %d but witness achieves %d" claimed
                v.makespan)
         else Ok v)
-
-(* Wire into the registry's ~certify:true post-pass. The hook lives in
-   crs_algorithms (which cannot depend on this library), so it is a
-   settable function installed at link time. *)
-let install () =
-  Crs_algorithms.Registry.install_certifier (fun instance schedule ~claimed ->
-      match check instance schedule ~claimed with
-      | Ok _ -> Ok ()
-      | Error msg -> Error msg)
-
-let () = install ()

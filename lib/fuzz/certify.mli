@@ -35,11 +35,5 @@ val check :
   claimed:int ->
   (verdict, string) result
 (** {!derive} plus the makespan claim: the witness must achieve exactly
-    [claimed]. This is the full certificate used by
-    [Registry.run ~certify:true]. *)
-
-val install : unit -> unit
-(** (Re-)install {!check} as the registry's certifier hook
-    ([Crs_algorithms.Registry.install_certifier]). Runs automatically
-    when this module is linked; exposed so tests that swap the hook can
-    restore it. *)
+    [claimed]. This is the full certificate the serve tier applies to a
+    ["certify":true] solve. *)

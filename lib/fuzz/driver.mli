@@ -1,28 +1,12 @@
-(** Fuzz-campaign driver: sweep an oracle over a seeded generator family
-    on the {!Crs_exec.Exec} work-stealing executor with fuel-based
-    timeouts.
+(** Fuzz-campaign driver: sweep an oracle over the seeds of a campaign
+    {!Crs_campaign.Spec.t} — its generator family, sizes, seed range
+    and per-seed fuel; its algorithms and baseline play no part — with
+    the campaign's own seed fan-out ({!Crs_campaign.Runner.map_seeds}).
 
     Determinism contract (same as campaign runs): the instance for a
-    seed depends only on the seed and the config, fuel is work-based,
-    and {!render} contains no timing — so the same config produces a
+    seed is {!Crs_campaign.Spec.instance}, fuel is work-based, and
+    {!render} contains no timing — so the same spec produces a
     byte-identical report at any pool size, twice in a row. *)
-
-type config = {
-  family : Crs_campaign.Spec.family;
-  m : int;
-  n : int;  (** jobs per processor *)
-  granularity : int;
-  seed_lo : int;
-  seed_hi : int;  (** inclusive; must be >= [seed_lo] *)
-  fuel : int option;  (** per-seed work budget; [None] = unmetered *)
-}
-
-val default_config : config
-(** uniform, m = 3, n = 3, granularity = 10, seeds 1..50, fuel 2M. *)
-
-val instance_of : config -> seed:int -> Crs_core.Instance.t
-(** The seed's instance under the campaign seeding discipline
-    ([Random.State.make [|seed|]]). *)
 
 type outcome =
   | Pass
@@ -34,7 +18,7 @@ type case = { seed : int; digest : string; outcome : outcome }
 
 type report = {
   oracle : string;
-  config : config;
+  spec : Crs_campaign.Spec.t;
   cases : case array;  (** one per seed, in seed order *)
   passes : int;
   failures : int;
@@ -42,19 +26,23 @@ type report = {
   skips : int;
 }
 
-val run : ?domains:int -> config -> Oracle.t -> report
-(** Evaluate every seed of the range. [domains > 1] fans items out on a
-    {!Crs_exec.Exec.map}; results are identical at any pool size.
-    @raise Invalid_argument on an empty/inverted seed range or
-    non-positive m/n/granularity. *)
+val run : ?domains:int -> Crs_campaign.Spec.t -> Oracle.t -> report
+(** Evaluate every seed of the range; results are identical at any pool
+    size.
+    @raise Invalid_argument when {!Crs_campaign.Spec.validate} rejects
+    the spec. *)
 
 val failing_cases : report -> (int * string) list
 (** (seed, message) for every [Fail] case, in seed order. *)
 
 val shrink_failure :
-  ?max_checks:int -> config -> Oracle.t -> seed:int -> Crs_core.Instance.t * Shrink.stats
+  ?max_checks:int ->
+  Crs_campaign.Spec.t ->
+  Oracle.t ->
+  seed:int ->
+  Crs_core.Instance.t * Shrink.stats
 (** Re-derive the seed's instance and minimize it under "the oracle
-    still fails" (fuel-metered with the config's budget; running out
+    still fails" (fuel-metered with the spec's budget; running out
     counts as not-failing, so shrinking never hangs). *)
 
 val render : report -> string

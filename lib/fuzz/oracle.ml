@@ -35,11 +35,11 @@ let exact_agreement =
         let results =
           List.filter_map
             (fun solver ->
-              if Registry.kind solver <> Registry.Exact then None
+              if solver.Registry.kind <> Registry.Exact then None
               else
                 match Registry.run solver instance with
                 | Error _ -> None
-                | Ok out -> Some (Registry.name solver, out.Registry.makespan))
+                | Ok out -> Some (solver.Registry.name, out.Registry.makespan))
             Registry.all
         in
         match results with
@@ -67,17 +67,17 @@ let witness_certified =
           List.iter
             (fun solver ->
               if
-                Registry.witness solver
-                && (Registry.kind solver <> Registry.Exact || small instance)
+                solver.Registry.witness
+                && (solver.kind <> Registry.Exact || small instance)
               then
                 match Registry.run solver instance with
                 | Error _ -> ()
                 | Ok { Registry.schedule = None; _ } ->
-                  raise (Bad (Registry.name solver ^ ": no witness"))
+                  raise (Bad (solver.name ^ ": no witness"))
                 | Ok { Registry.schedule = Some schedule; makespan; _ } -> (
                   match Certify.check instance schedule ~claimed:makespan with
                   | Ok _ -> ()
-                  | Error msg -> raise (Bad (Registry.name solver ^ ": " ^ msg))))
+                  | Error msg -> raise (Bad (solver.name ^ ": " ^ msg))))
             Registry.all;
           Ok ()
         with Bad msg -> Error msg);

@@ -23,10 +23,9 @@ let map t ~f ~shed items =
      concurrent connections the budget is shared, so one connection's
      in-flight work sheds another's excess. *)
   let admitted = min n (max 0 (t.queue - Exec.pending t.exec)) in
-  (* A per-batch completion handle, not Exec.await_all: concurrent
-     connection readers each run their own batches on the shared
-     executor, and each must wait only for (and see only the failures
-     of) its own tasks. *)
+  (* A per-batch completion handle: concurrent connection readers each
+     run their own batches on the shared executor, and each must wait
+     only for (and see only the failures of) its own tasks. *)
   let batch = Exec.Batch.create t.exec in
   for i = 0 to admitted - 1 do
     Exec.Batch.submit batch (fun () -> out.(i) <- Some (f items.(i)))

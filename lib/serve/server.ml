@@ -239,6 +239,19 @@ let stats_payload t =
 
 (* ---- solve ---- *)
 
+(* With "certify":true, a witness is re-checked by the independent
+   certifier before it is answered: feasibility, job order, completion
+   and the claimed makespan, re-derived from the schedule alone.
+   Makespan-only outcomes pass unaudited. *)
+let audit (s : Protocol.solve) instance (outcome : Registry.outcome) =
+  match outcome.schedule with
+  | Some schedule when s.certify -> (
+    match Crs_fuzz.Certify.check instance schedule ~claimed:outcome.makespan with
+    | Ok _ -> Ok ()
+    | Error msg ->
+      Error (Printf.sprintf "%s failed certification: %s" s.algorithm msg))
+  | _ -> Ok ()
+
 (* The answer is computed on the canonical form — witness included — so
    canonically equivalent requests produce byte-identical payloads (and
    share one cache entry). *)
@@ -276,15 +289,18 @@ let do_solve t (s : Protocol.solve) =
             (Printf.sprintf "unknown algorithm %S (valid: %s)" s.algorithm
                (String.concat ", " Registry.names)) )
       | Some solver -> (
-        match Registry.run ?fuel ~certify:s.certify solver canonical with
-        | Ok outcome ->
-          Trace.add_attrs
-            [ ("fuel_ticks", Trace.Int outcome.counters.fuel_ticks) ];
-          ( Ok_,
-            Protocol.ok_solve ~algorithm:s.algorithm
-              ~makespan:outcome.makespan
-              ~schedule:(if s.witness then outcome.schedule else None)
-              ~counters:outcome.counters ~canon_digest )
+        match Registry.run ?fuel solver canonical with
+        | Ok outcome -> (
+          match audit s canonical outcome with
+          | Error msg -> (Error_, Protocol.error msg)
+          | Ok () ->
+            Trace.add_attrs
+              [ ("fuel_ticks", Trace.Int outcome.counters.fuel_ticks) ];
+            ( Ok_,
+              Protocol.ok_solve ~algorithm:s.algorithm
+                ~makespan:outcome.makespan
+                ~schedule:(if s.witness then outcome.schedule else None)
+                ~counters:outcome.counters ~canon_digest ))
         | Error (Registry.Inapplicable reason) ->
           (Not_applicable_, Protocol.not_applicable reason)
         | Error (Registry.Timeout ticks) ->

@@ -19,13 +19,13 @@ let fail fmt =
 let () =
   (* 1. Every oracle, seeds 1..10 on m=2/n=2: clean and deterministic,
      including across pool sizes. *)
-  let config =
-    { F.Driver.default_config with m = 2; n = 2; seed_lo = 1; seed_hi = 10 }
+  let spec =
+    { Crs_campaign.Spec.default with m = 2; n = 2; seed_lo = 1; seed_hi = 10 }
   in
   List.iter
     (fun oracle ->
-      let a = F.Driver.run ~domains:1 config oracle in
-      let b = F.Driver.run ~domains:2 config oracle in
+      let a = F.Driver.run ~domains:1 spec oracle in
+      let b = F.Driver.run ~domains:2 spec oracle in
       let name = oracle.F.Oracle.name in
       if a.F.Driver.failures > 0 then
         List.iter

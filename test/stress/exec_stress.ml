@@ -31,18 +31,19 @@ let stress ~domains ~seed =
   (* Containment: one poisoned task among many, reported exactly once,
      executor reusable afterwards. *)
   Exec.with_exec ~domains (fun t ->
+      let b = Exec.Batch.create t in
       let ran = Atomic.make 0 in
       for i = 1 to 100 do
-        Exec.submit t (fun () ->
+        Exec.Batch.submit b (fun () ->
             if i = 37 then failwith "poisoned" else Atomic.incr ran)
       done;
-      (match Exec.await_all t with
+      (match Exec.Batch.await b with
       | Some (Failure _) -> ()
       | Some e -> raise e
       | None -> failwith "poisoned task not reported");
       if Atomic.get ran <> 99 then failwith "containment lost tasks";
-      Exec.submit t (fun () -> Atomic.incr ran);
-      match Exec.await_all t with
+      Exec.Batch.submit b (fun () -> Atomic.incr ran);
+      match Exec.Batch.await b with
       | None -> if Atomic.get ran <> 100 then failwith "reuse lost a task"
       | Some e -> raise e);
   Printf.printf "stress ok: %d tasks at %d domain%s (seed %d)\n%!" n domains

@@ -190,6 +190,19 @@ let test_fuzz_and_replay () =
   let code, out = run_capture "fuzz --seed-range 5..1" in
   Alcotest.(check int) "bad range exits 1" 1 code;
   Alcotest.(check bool) "range diagnostic" true (has "bad seed range" out);
+  (* A bad spec is refused before any oracle runs. *)
+  List.iter
+    (fun (flag, msg) ->
+      let code, out = run_capture ("fuzz --seed-range 1..3 " ^ flag) in
+      Alcotest.(check int) (flag ^ " exits 1") 1 code;
+      Alcotest.(check bool) (flag ^ " diagnostic") true
+        (has ("error: invalid fuzz spec: " ^ msg) out
+        && not (has "fuzz oracle=" out)))
+    [
+      ("-m 0", "m must be at least 1");
+      ("--granularity 0", "granularity must be at least 1");
+      ("--fuel=-5", "fuel must be positive");
+    ];
   (* Replay the pinned corpus (copied into _build by the test deps). *)
   let code, out = run_capture "replay ../data/corpus" in
   Alcotest.(check int) "replay exits 0" 0 code;

@@ -117,39 +117,41 @@ let test_exec_map_deterministic_across_domains () =
 
 let test_exec_reuse_and_containment () =
   Exec.with_exec ~domains:2 (fun t ->
+      let b = Exec.Batch.create t in
       let counter = Atomic.make 0 in
       for _ = 1 to 50 do
-        Exec.submit t (fun () -> Atomic.incr counter)
+        Exec.Batch.submit b (fun () -> Atomic.incr counter)
       done;
-      Alcotest.(check bool) "no failure" true (Exec.await_all t = None);
+      Alcotest.(check bool) "no failure" true (Exec.Batch.await b = None);
       Alcotest.(check int) "all tasks ran" 50 (Atomic.get counter);
       (* A raising task is contained: reported once, others still run,
-         and the executor stays usable for the next batch. *)
+         and the handle stays usable for the next round. *)
       for i = 1 to 20 do
-        Exec.submit t (fun () ->
+        Exec.Batch.submit b (fun () ->
             if i = 7 then failwith "poisoned" else Atomic.incr counter)
       done;
-      (match Exec.await_all t with
+      (match Exec.Batch.await b with
       | Some (Failure msg) -> Alcotest.(check string) "failure surfaced" "poisoned" msg
       | _ -> Alcotest.fail "expected the task failure to surface");
       Alcotest.(check int) "others completed" 69 (Atomic.get counter);
-      Exec.submit t (fun () -> Atomic.incr counter);
+      Exec.Batch.submit b (fun () -> Atomic.incr counter);
       Alcotest.(check bool) "failure cleared for next batch" true
-        (Exec.await_all t = None);
+        (Exec.Batch.await b = None);
       Alcotest.(check int) "next batch ran" 70 (Atomic.get counter))
 
 let test_exec_nested_submission () =
   (* Tasks submitting tasks: the inner pushes go to the running worker's
-     own deque and still complete before await_all returns. *)
+     own deque and still complete before the batch's await returns. *)
   Exec.with_exec ~domains:3 (fun t ->
+      let b = Exec.Batch.create t in
       let hits = Atomic.make 0 in
       for _ = 1 to 10 do
-        Exec.submit t (fun () ->
+        Exec.Batch.submit b (fun () ->
             for _ = 1 to 10 do
-              Exec.submit t (fun () -> Atomic.incr hits)
+              Exec.Batch.submit b (fun () -> Atomic.incr hits)
             done)
       done;
-      Alcotest.(check bool) "no failure" true (Exec.await_all t = None);
+      Alcotest.(check bool) "no failure" true (Exec.Batch.await b = None);
       Alcotest.(check int) "all nested tasks ran" 100 (Atomic.get hits))
 
 let test_exec_shutdown_rejects_submit () =
@@ -158,14 +160,13 @@ let test_exec_shutdown_rejects_submit () =
   Exec.shutdown t (* idempotent *);
   Alcotest.(check bool) "submit after shutdown rejected" true
     (try
-       Exec.submit t (fun () -> ());
+       Exec.Batch.submit (Exec.Batch.create t) (fun () -> ());
        false
      with Invalid_argument _ -> true)
 
 (* Batch handles let several threads multiplex one executor (the
    concurrent serve frontend's shape): each batch waits only on its own
-   tasks and sees only its own first failure; the executor-wide failure
-   slot that await_all reads stays clean. *)
+   tasks and sees only its own first failure. *)
 let test_exec_batch_isolation () =
   Exec.with_exec ~domains:2 (fun t ->
       let counter = Atomic.make 0 in
@@ -189,11 +190,12 @@ let test_exec_batch_isolation () =
       Alcotest.(check bool) "batch 2 unaffected by batch 1's failure" true
         (!r2 = None);
       Alcotest.(check int) "all non-failing tasks ran" 49 (Atomic.get counter);
-      (* Batch failures never leak into the executor-wide slot, and the
-         executor remains usable for plain submit/await_all rounds. *)
-      Exec.submit t (fun () -> Atomic.incr counter);
-      Alcotest.(check bool) "await_all stays clean" true
-        (Exec.await_all t = None);
+      (* A batch's failure never leaks into a later batch, and the
+         executor remains usable. *)
+      let b = Exec.Batch.create t in
+      Exec.Batch.submit b (fun () -> Atomic.incr counter);
+      Alcotest.(check bool) "a fresh batch stays clean" true
+        (Exec.Batch.await b = None);
       Alcotest.(check int) "post-batch task ran" 50 (Atomic.get counter))
 
 let test_exec_stats () =
@@ -201,10 +203,11 @@ let test_exec_stats () =
       let s0 = Exec.stats t in
       Alcotest.(check int) "workers" 2 s0.Exec.workers;
       Alcotest.(check int) "two depth slots" 2 (Array.length s0.Exec.depths);
+      let b = Exec.Batch.create t in
       for _ = 1 to 40 do
-        Exec.submit t (fun () -> ())
+        Exec.Batch.submit b (fun () -> ())
       done;
-      ignore (Exec.await_all t);
+      ignore (Exec.Batch.await b);
       let s = Exec.stats t in
       Alcotest.(check bool) "pushes counted" true (s.Exec.pushes >= 40);
       Alcotest.(check int) "backlog drained" 0 s.Exec.queued;
@@ -238,6 +241,24 @@ let test_exec_map_chunked () =
        false
      with Invalid_argument _ -> true)
 
+(* [map] re-raises the first task exception once the batch settles,
+   at any pool size and chunking, and leaves nothing behind for the
+   next call. *)
+let test_exec_map_reraises () =
+  let input = Array.init 50 Fun.id in
+  List.iter
+    (fun (domains, chunk) ->
+      let at = Printf.sprintf "domains %d, chunk %d" domains chunk in
+      Alcotest.check_raises (at ^ ": re-raised") (Failure "x") (fun () ->
+          ignore
+            (Exec.map ~chunk ~domains
+               (fun i -> if i = 17 then failwith "x" else i)
+               input));
+      Alcotest.(check (array int))
+        (at ^ ": next map") (Array.map succ input)
+        (Exec.map ~chunk ~domains succ input))
+    [ (1, 1); (1, 10); (2, 1); (2, 10); (3, 1); (3, 10) ]
+
 let suite =
   [
     Alcotest.test_case "deque: owner LIFO, thief FIFO" `Quick test_deque_lifo_fifo;
@@ -260,4 +281,6 @@ let suite =
     Alcotest.test_case "exec: crs_obs counters + histogram" `Quick
       test_exec_obs_counters;
     Alcotest.test_case "exec: chunked map" `Quick test_exec_map_chunked;
+    Alcotest.test_case "exec: map re-raises a task exception" `Quick
+      test_exec_map_reraises;
   ]

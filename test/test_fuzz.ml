@@ -1,5 +1,5 @@
 (* Tests for the differential fuzzing subsystem: the independent
-   certifier, the registry certify hook, the metamorphic oracles, the
+   certifier, the metamorphic oracles, the
    greedy shrinker (including the mutation self-test the issue demands),
    the persisted corpus, and the deterministic fuzz driver. *)
 
@@ -8,6 +8,7 @@ open Crs_core
 module F = Crs_fuzz
 module R = Crs_algorithms.Registry
 module A = Crs_generators.Adversarial
+module Spec = Crs_campaign.Spec
 
 (* ---------- Certify ---------- *)
 
@@ -57,13 +58,18 @@ let certify_all_witnesses instance =
   List.iter
     (fun solver ->
       if
-        R.witness solver
-        && (R.kind solver <> R.Exact
+        solver.R.witness
+        && (solver.kind <> R.Exact
            || (Instance.total_jobs instance <= 8 && Instance.m instance <= 3))
         && R.applicability solver instance = Ok ()
       then
-        (* ~certify:true raises Failure if the independent audit fails. *)
-        ignore (R.solve ~certify:true solver instance))
+        let out = R.solve solver instance in
+        match
+          F.Certify.check instance (Option.get out.R.schedule)
+            ~claimed:out.R.makespan
+        with
+        | Ok _ -> ()
+        | Error msg -> Alcotest.failf "%s failed certification: %s" solver.name msg)
     R.all
 
 let test_certify_gallery () =
@@ -82,32 +88,15 @@ let test_certify_random_sweep () =
     certify_all_witnesses (Helpers.random_instance ~max_m:3 ~max_jobs:3 st)
   done
 
-let test_registry_hook_wiring () =
-  (* A failing certifier turns a clean solve into a Failure naming the
-     solver; reinstalling the real one restores service. *)
-  let inst = Helpers.instance_of_strings [ [ "1/2"; "1/2" ] ] in
-  let solver = R.find_exn R.Names.greedy_balance in
-  R.install_certifier (fun _ _ ~claimed:_ -> Error "boom");
-  (try
-     ignore (R.solve ~certify:true solver inst);
-     F.Certify.install ();
-     Alcotest.fail "sabotaged certifier accepted the witness"
-   with Failure msg ->
-     F.Certify.install ();
-     Alcotest.(check bool) "failure carries the certifier message" true
-       (Helpers.contains ~needle:"boom" msg
-       && Helpers.contains ~needle:"greedy-balance" msg));
-  ignore (R.solve ~certify:true solver inst)
-
 (* ---------- Oracles ---------- *)
 
 let test_oracles_pass_on_random_instances () =
-  let config =
-    { F.Driver.default_config with m = 2; n = 2; seed_lo = 1; seed_hi = 15 }
+  let spec =
+    { Spec.default with m = 2; n = 2; seed_lo = 1; seed_hi = 15 }
   in
   List.iter
     (fun oracle ->
-      let report = F.Driver.run config oracle in
+      let report = F.Driver.run spec oracle in
       Alcotest.(check int)
         (oracle.F.Oracle.name ^ ": no failures")
         0 report.F.Driver.failures;
@@ -187,14 +176,14 @@ let mutation_oracle =
     ()
 
 let run_mutation_hunt () =
-  let config =
-    { F.Driver.default_config with m = 2; n = 2; seed_lo = 1; seed_hi = 100 }
+  let spec =
+    { Spec.default with m = 2; n = 2; seed_lo = 1; seed_hi = 100 }
   in
-  let report = F.Driver.run config mutation_oracle in
+  let report = F.Driver.run spec mutation_oracle in
   match F.Driver.failing_cases report with
   | [] -> Alcotest.fail "injected mutation was never caught"
   | (seed, _) :: _ ->
-    let shrunk, _stats = F.Driver.shrink_failure config mutation_oracle ~seed in
+    let shrunk, _stats = F.Driver.shrink_failure spec mutation_oracle ~seed in
     (seed, shrunk)
 
 let test_mutation_self_test () =
@@ -218,7 +207,7 @@ let test_mutation_self_test () =
 let sample_entry () =
   F.Corpus.make ~name:"sample" ~oracle:"exact-agreement" ~note:"round \"trip\""
     ~family:"uniform" ~seed:1 ~gen_m:3 ~gen_n:3 ~gen_granularity:10
-    (F.Driver.instance_of F.Driver.default_config ~seed:1)
+    (Spec.instance Spec.default ~seed:1)
 
 let test_corpus_roundtrip () =
   let e = sample_entry () in
@@ -323,12 +312,12 @@ let test_seed_stability_goldens () =
 (* ---------- Driver ---------- *)
 
 let test_driver_deterministic () =
-  let config =
-    { F.Driver.default_config with m = 2; n = 2; seed_lo = 1; seed_hi = 12 }
+  let spec =
+    { Spec.default with m = 2; n = 2; seed_lo = 1; seed_hi = 12 }
   in
   let oracle = Option.get (F.Oracle.find "exact-agreement") in
-  let a = F.Driver.run ~domains:1 config oracle in
-  let b = F.Driver.run ~domains:3 config oracle in
+  let a = F.Driver.run ~domains:1 spec oracle in
+  let b = F.Driver.run ~domains:3 spec oracle in
   Alcotest.(check string) "byte-identical render across pool sizes"
     (F.Driver.render a) (F.Driver.render b);
   Alcotest.(check string) "digest agrees" (F.Driver.render_digest a)
@@ -350,12 +339,12 @@ let test_driver_deterministic () =
 
 let test_driver_rejects_bad_config () =
   let oracle = Option.get (F.Oracle.find "exact-agreement") in
-  let bad = { F.Driver.default_config with seed_lo = 5; seed_hi = 4 } in
+  let bad = { Spec.default with seed_lo = 5; seed_hi = 4 } in
   (try
      ignore (F.Driver.run bad oracle);
      Alcotest.fail "inverted seed range accepted"
    with Invalid_argument _ -> ());
-  let bad = { F.Driver.default_config with m = 0 } in
+  let bad = { Spec.default with m = 0 } in
   try
     ignore (F.Driver.run bad oracle);
     Alcotest.fail "m = 0 accepted"
@@ -363,9 +352,9 @@ let test_driver_rejects_bad_config () =
 
 let test_driver_times_out_on_tiny_fuel () =
   (* A starved budget must surface as Timeout cases, never a hang. *)
-  let config =
+  let spec =
     {
-      F.Driver.default_config with
+      Spec.default with
       m = 3;
       n = 3;
       seed_lo = 1;
@@ -374,7 +363,7 @@ let test_driver_times_out_on_tiny_fuel () =
     }
   in
   let oracle = Option.get (F.Oracle.find "exact-agreement") in
-  let report = F.Driver.run config oracle in
+  let report = F.Driver.run spec oracle in
   Alcotest.(check int) "every seed timed out" 3 report.F.Driver.timeouts
 
 let suite =
@@ -387,8 +376,6 @@ let suite =
       test_certify_gallery;
     Alcotest.test_case "certify: 200-instance random sweep" `Quick
       test_certify_random_sweep;
-    Alcotest.test_case "registry: certify hook wiring" `Quick
-      test_registry_hook_wiring;
     Alcotest.test_case "oracles: clean pass on random instances" `Quick
       test_oracles_pass_on_random_instances;
     Alcotest.test_case "oracles: differential catches a wrong candidate" `Quick

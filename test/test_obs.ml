@@ -353,18 +353,10 @@ let test_fuzz_spans () =
         | Some o -> o
         | None -> List.hd Crs_fuzz.Oracle.all
       in
-      let config =
-        {
-          Crs_fuzz.Driver.family = Crs_campaign.Spec.Uniform;
-          m = 2;
-          n = 2;
-          granularity = 10;
-          seed_lo = 1;
-          seed_hi = 3;
-          fuel = Some 2_000_000;
-        }
+      let spec =
+        { Crs_campaign.Spec.default with m = 2; n = 2; seed_lo = 1; seed_hi = 3 }
       in
-      ignore (Crs_fuzz.Driver.run ~domains:2 config oracle);
+      ignore (Crs_fuzz.Driver.run ~domains:2 spec oracle);
       let roots = Trace.forest () in
       Alcotest.(check int) "one span per seed" 3 (List.length roots);
       List.iter

@@ -53,7 +53,7 @@ let test_registry_is_complete () =
   List.iter
     (fun n ->
       match R.find n with
-      | Some s -> Alcotest.(check string) "find returns the named solver" n (R.name s)
+      | Some s -> Alcotest.(check string) "find returns the named solver" n s.R.name
       | None -> Alcotest.fail ("find lost solver " ^ n))
     R.names
 
@@ -73,12 +73,12 @@ let test_parity_with_direct_calls () =
             | Ok () ->
               let out = R.solve solver instance in
               let label =
-                Printf.sprintf "%s seed=%d m=%d" (R.name solver) seed m
+                Printf.sprintf "%s seed=%d m=%d" solver.R.name seed m
               in
               Alcotest.(check int) label
-                (direct_makespan (R.name solver) instance)
+                (direct_makespan solver.R.name instance)
                 out.R.makespan;
-              Hashtbl.replace checked (R.name solver) ())
+              Hashtbl.replace checked solver.R.name ())
           R.all)
       [ 1; 2; 3 ]
   done;
@@ -98,18 +98,18 @@ let test_witness_schedules_replay () =
       | Error _ -> ()
       | Ok () ->
         let out = R.solve solver instance in
-        if R.witness solver then
+        if solver.R.witness then
           match out.R.schedule with
           | None ->
-            Alcotest.fail (R.name solver ^ " promises a witness but returned none")
+            Alcotest.fail (solver.R.name ^ " promises a witness but returned none")
           | Some schedule ->
             Alcotest.(check int)
-              (R.name solver ^ " witness replays to reported makespan")
+              (solver.R.name ^ " witness replays to reported makespan")
               out.R.makespan
               (Execution.makespan (Execution.run_exn instance schedule))
         else
           Alcotest.(check bool)
-            (R.name solver ^ " without witness returns no schedule")
+            (solver.R.name ^ " without witness returns no schedule")
             true (out.R.schedule = None))
     R.all
 
@@ -181,9 +181,8 @@ let test_counters_populated () =
     6 (List.length (R.Counters.to_assoc dp))
 
 (* The Registry.run contract: the capability check spends no fuel, a
-   timeout reports the ticks spent (budget + 1), a call without ~fuel
-   leaves an enclosing budget in charge, and certification passes the
-   same answer through. *)
+   timeout reports the ticks spent (budget + 1), and a call without
+   ~fuel leaves an enclosing budget in charge. *)
 let test_run_contract () =
   let module Fuel = Crs_util.Fuel in
   let opt_two = R.find_exn R.Names.opt_two in
@@ -213,12 +212,7 @@ let test_run_contract () =
   let optimal = R.find_exn R.Names.optimal in
   Alcotest.check_raises "without ~fuel the enclosing budget raises"
     Fuel.Out_of_fuel (fun () ->
-      Fuel.with_fuel (Some 3) (fun () -> ignore (R.run optimal figure3)));
-  match (R.run optimal figure3, R.run ~certify:true optimal figure3) with
-  | Ok plain, Ok certified ->
-    Alcotest.(check int) "certified makespan" plain.R.makespan
-      certified.R.makespan
-  | _ -> Alcotest.fail "Figure 3 at n = 40 must solve"
+      Fuel.with_fuel (Some 3) (fun () -> ignore (R.run optimal figure3)))
 
 (* Every way a solve can fail, as the two callers render it: campaign
    records ([Runner.run_item] payloads) and crs-serve/1 responses
@@ -308,6 +302,6 @@ let suite =
       test_counters_populated;
     Alcotest.test_case "failure paths: runner and server bytes pinned" `Quick
       test_failure_paths_pinned;
-    Alcotest.test_case "run: capability check, budget, timeout, certify" `Quick
+    Alcotest.test_case "run: capability check, budget, timeout, enclosing budget" `Quick
       test_run_contract;
   ]

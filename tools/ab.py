@@ -20,15 +20,21 @@ median and quartiles, the change's wins out of the pairs (ties count for
 neither side), whether the median gap in the better direction exceeds the
 parent's interquartile range, and, for the end-to-end metrics of
 BENCHMARK.json, whether the change's median is worse than the parent's by
-more than the metric's bound. Every run's result line is kept in
-DIR/ab-<workload>.json and its output in DIR/<side>-<workload>-<seed>.log.
-Exit code 0 when every run completed correctly.
+more than the metric's bound. Each run's host steal (the `host steal: X%
+median` line of its log) is printed beside its throughput; the report names
+the pairs whose two sides differ by more than STEAL_GAP points of steal and
+repeats the bound check over the remaining pairs, since a side that lost more
+CPU to the hypervisor reads slower for reasons outside the program. Every
+run's result line is kept in DIR/ab-<workload>.json and its output in
+DIR/<side>-<workload>-<seed>.log. Exit code 0 when every run completed
+correctly.
 """
 
 import argparse
 import io
 import json
 import os
+import re
 import shutil
 import statistics
 import subprocess
@@ -36,6 +42,7 @@ import sys
 import tarfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+STEAL_GAP = 2.0  # points of host steal between a pair's sides
 
 
 def fail(msg):
@@ -65,18 +72,22 @@ def export(rev, dest):
 
 
 def run(checkout, workload, seed, seconds, trace):
-    with open(f"{checkout}-{workload}-{seed}.log", "w") as log:
+    path = f"{checkout}-{workload}-{seed}.log"
+    with open(path, "w") as log:
         out = subprocess.run(
             [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
              "--seconds", str(seconds), "--trace", str(trace)],
             cwd=checkout, stdout=subprocess.PIPE, stderr=log, text=True)
         log.write(out.stdout)
+    with open(path) as log:
+        steal = re.search(r"^host steal: ([0-9.]+)% median", log.read(), re.M)
     lines = out.stdout.strip().splitlines()
     if not lines or not lines[-1].startswith("{"):
-        return {"correct": False, "attempted": 0, "failed": 0, "metrics": {},
-                "exit": out.returncode}
-    result = json.loads(lines[-1])
+        result = {"correct": False, "attempted": 0, "failed": 0, "metrics": {}}
+    else:
+        result = json.loads(lines[-1])
     result["exit"] = out.returncode
+    result["steal"] = float(steal.group(1)) if steal else None
     return result
 
 
@@ -92,11 +103,30 @@ def cell(med, q1, q3):
     return f"{num(med)} [{num(q1)}, {num(q3)}]"
 
 
+def values(pairs, side, name):
+    return [p[side]["metrics"][name]["value"] for p in pairs]
+
+
+def bound_check(name, pairs, sense, bounds):
+    """Whether the change's median is worse than the parent's by more than the bound."""
+    if name not in bounds:
+        return "-"
+    amed = statistics.median(values(pairs, "parent", name))
+    bmed = statistics.median(values(pairs, "change", name))
+    worse = -sense * (bmed - amed) / abs(amed) if amed else 0.0
+    return "EXCEEDED" if worse > bounds[name] else "within"
+
+
+def steal_cell(x):
+    return "?" if x is None else f"{x:.1f}%"
+
+
 def report(workload, pairs, bench):
     better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
     bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     names = [n for n in pairs[0]["parent"]["metrics"]
              if all(n in p[s]["metrics"] for p in pairs for s in ("parent", "change"))]
+    sense = {n: 1 if better.get(n, "lower") == "higher" else -1 for n in names}
     print(f"\n{workload}: {len(pairs)} pairs, seeds {pairs[0]['seed']}-{pairs[-1]['seed']}")
     for side in ("parent", "change"):
         failed = sum(p[side]["failed"] for p in pairs)
@@ -106,20 +136,34 @@ def report(workload, pairs, bench):
     print(f"  {'metric':<34} {'parent median [q1, q3]':>34} {'change median [q1, q3]':>34}"
           f" {'ratio':>6} {'wins':>6} {'gap>IQR':>7} {'bound':>8}")
     for name in names:
-        a = [p["parent"]["metrics"][name]["value"] for p in pairs]
-        b = [p["change"]["metrics"][name]["value"] for p in pairs]
+        a, b = values(pairs, "parent", name), values(pairs, "change", name)
         (aq1, amed, aq3), (bq1, bmed, bq3) = quartiles(a), quartiles(b)
-        sense = 1 if better.get(name, "lower") == "higher" else -1
-        wins = sum(1 for x, y in zip(a, b) if sense * (y - x) > 0)
-        gap = sense * (bmed - amed) > (aq3 - aq1)
+        wins = sum(1 for x, y in zip(a, b) if sense[name] * (y - x) > 0)
+        gap = sense[name] * (bmed - amed) > (aq3 - aq1)
         ratio = f"{bmed / amed:.3f}" if amed else "-"
-        if name in bounds:
-            worse = -sense * (bmed - amed) / abs(amed) if amed else 0.0
-            bound = "EXCEEDED" if worse > bounds[name] else "within"
-        else:
-            bound = "-"
+        bound = bound_check(name, pairs, sense[name], bounds)
         print(f"  {name:<34} {cell(amed, aq1, aq3):>34} {cell(bmed, bq1, bq3):>34}"
               f" {ratio:>6} {wins:>3}/{len(pairs):<2} {'yes' if gap else 'no':>7} {bound:>8}")
+    if all(p[s]["steal"] is None for p in pairs for s in ("parent", "change")):
+        print("  host steal: not reported (traced runs print none)")
+        return
+    # A pair whose steal is unknown on one side counts as uneven.
+    uneven = [p for p in pairs
+              if None in (p["parent"]["steal"], p["change"]["steal"])
+              or abs(p["parent"]["steal"] - p["change"]["steal"]) > STEAL_GAP]
+    even = [p for p in pairs if p not in uneven]
+    print(f"  host steal differs by more than {STEAL_GAP:g} points in {len(uneven)} of"
+          f" {len(pairs)} pairs" + "".join(
+              f"\n    seed {p['seed']}: parent {steal_cell(p['parent']['steal'])},"
+              f" change {steal_cell(p['change']['steal'])}" for p in uneven))
+    if uneven and even:
+        print(f"  bound over the other {len(even)} pairs (parent median, change median):")
+        for name in names:
+            if name in bounds:
+                amed = statistics.median(values(even, "parent", name))
+                bmed = statistics.median(values(even, "change", name))
+                print(f"  {name:<34} {amed:>14.4g} {bmed:>14.4g}"
+                      f" {bound_check(name, even, sense[name], bounds):>8}")
 
 
 def main():
@@ -162,6 +206,7 @@ def main():
                 ok = ok and pair[side]["correct"] and pair[side]["exit"] == 0
             print(f"{workload} seed {seed}: " + ", ".join(
                 f"{s} {pair[s]['metrics'].get('throughput_rps', {}).get('value', float('nan')):.1f} rps"
+                f" (steal {steal_cell(pair[s]['steal'])})"
                 for s in order), flush=True)
             pairs.append(pair)
         with open(os.path.join(args.work, f"ab-{workload}.json"), "w") as f:
