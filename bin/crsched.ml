@@ -523,41 +523,17 @@ let fuzz_cmd =
         print_string (Crs_fuzz.Driver.render report);
         let failing = Crs_fuzz.Driver.failing_cases report in
         if failing <> [] then any_failure := true;
-        if shrink then
+        if shrink || pin <> None then
           List.iter
             (fun (seed, _) ->
-              let minimized, stats =
-                Crs_fuzz.Driver.shrink_failure spec oracle ~seed
+              let text, entry =
+                Crs_fuzz.Driver.counterexample ~shrink spec oracle ~seed
               in
-              let msg =
-                match oracle.Crs_fuzz.Oracle.check minimized with
-                | Error m -> m
-                | Ok () -> "(not reproducible without fuel metering)"
-              in
-              Printf.printf
-                "shrunk seed %d to %d jobs on %d processors (%d checks): %s\n%s"
-                seed
-                (Instance.total_jobs minimized)
-                (Instance.m minimized)
-                stats.Crs_fuzz.Shrink.checks msg
-                (Instance.to_string minimized);
-              match pin with
-              | None -> ()
-              | Some dir ->
-                let entry =
-                  Crs_fuzz.Corpus.make
-                    ~name:
-                      (Printf.sprintf "%s-seed%d" oracle.Crs_fuzz.Oracle.name
-                         seed)
-                    ~oracle:oracle.Crs_fuzz.Oracle.name
-                    ~expect:Crs_fuzz.Corpus.Fail
-                    ~note:
-                      (Printf.sprintf
-                         "shrunken counterexample from fuzz seed %d (%s)" seed
-                         (Crs_campaign.Spec.family_to_string family))
-                    minimized
-                in
-                Printf.printf "pinned %s\n" (Crs_fuzz.Corpus.save ~dir entry))
+              print_string text;
+              Option.iter
+                (fun dir ->
+                  Printf.printf "pinned %s\n" (Crs_fuzz.Corpus.save ~dir entry))
+                pin)
             failing)
       selected;
     if !any_failure then exit 1
@@ -1064,6 +1040,31 @@ let serve_listener ~listen ~backlog ~start ~serve ~stop =
             stop x)
           (fun () -> serve x fd)))
 
+(* [--max-fuel], shared by serve and the balance tier that forwards it
+   to its shards. 0 is no ceiling. *)
+let max_fuel_arg ~doc =
+  Arg.(
+    value & opt int 0
+    & info [ "max-fuel" ] ~docv:"TICKS"
+        ~doc:
+          (doc
+         ^ ": a solve whose fuel, its own or the $(b,--fuel) default, is \
+            above $(docv), or a campaign whose per-item fuel is above it or \
+            unmetered, is answered with status $(b,error) naming the \
+            ceiling. 0 means no ceiling."))
+
+(* Under a ceiling the default deadline must be metered and within it,
+   or every request that omits fuel would be refused. *)
+let check_fuel_ceiling ~fuel ~max_fuel =
+  if max_fuel > 0 && (fuel = 0 || fuel > max_fuel) then begin
+    Printf.eprintf
+      "error: --fuel %s exceeds --max-fuel %d (requests that omit fuel would \
+       all be refused)\n"
+      (if fuel = 0 then "0 (unlimited)" else string_of_int fuel)
+      max_fuel;
+    exit 1
+  end
+
 let serve_cmd =
   let module Server = Crs_serve.Server in
   let d = Server.default_config in
@@ -1110,6 +1111,7 @@ let serve_cmd =
             "Default per-request fuel deadline for requests that do not set \
              one; 0 means unlimited.")
   in
+  let max_fuel = max_fuel_arg ~doc:"Ceiling on a work request's fuel" in
   let max_conns =
     Arg.(
       value & opt int d.max_conns
@@ -1157,18 +1159,19 @@ let serve_cmd =
             "Snapshot name under $(b,--warm-state) — give each member of \
              a sharded tier its own (the balancer passes shard-$(i,N)).")
   in
-  let run listen stdio workers queue cache fuel max_conns backlog idle_timeout
-      warm_state warm_id =
+  let run listen stdio workers queue cache fuel max_fuel max_conns backlog
+      idle_timeout warm_state warm_id =
     if
-      workers < 1 || queue < 1 || cache < 0 || fuel < 0 || max_conns < 1
-      || backlog < 1 || idle_timeout < 0.0
+      workers < 1 || queue < 1 || cache < 0 || fuel < 0 || max_fuel < 0
+      || max_conns < 1 || backlog < 1 || idle_timeout < 0.0
     then begin
       Printf.eprintf
         "error: invalid serve parameters (workers %d, queue %d, cache %d, \
-         fuel %d, max-conns %d, backlog %d, idle-timeout %g)\n"
-        workers queue cache fuel max_conns backlog idle_timeout;
+         fuel %d, max-fuel %d, max-conns %d, backlog %d, idle-timeout %g)\n"
+        workers queue cache fuel max_fuel max_conns backlog idle_timeout;
       exit 1
     end;
+    check_fuel_ceiling ~fuel ~max_fuel;
     let config =
       {
         Server.default_config with
@@ -1176,6 +1179,7 @@ let serve_cmd =
         queue;
         cache_capacity = cache;
         default_fuel = (if fuel = 0 then None else Some fuel);
+        max_fuel = (if max_fuel = 0 then None else Some max_fuel);
         max_conns;
         backlog;
         idle_timeout_s = idle_timeout;
@@ -1247,8 +1251,8 @@ let serve_cmd =
               1/3\\\\n1/4\"}' | crsched serve --stdio";
          ])
     Term.(
-      const run $ listen $ stdio $ workers $ queue $ cache $ fuel $ max_conns
-      $ backlog $ idle_timeout $ warm_state $ warm_id)
+      const run $ listen $ stdio $ workers $ queue $ cache $ fuel $ max_fuel
+      $ max_conns $ backlog $ idle_timeout $ warm_state $ warm_id)
 
 (* ---- balance ---- *)
 
@@ -1314,6 +1318,9 @@ let balance_cmd =
       & info [ "fuel" ] ~docv:"TICKS"
           ~doc:"Default per-request fuel deadline per shard; 0 = unlimited.")
   in
+  let max_fuel =
+    max_fuel_arg ~doc:"Ceiling on a work request's fuel, per shard"
+  in
   let max_conns =
     Arg.(
       value & opt int sd.max_conns
@@ -1344,21 +1351,22 @@ let balance_cmd =
              consecutive failure (capped at 2s), resets when a respawn \
              comes up healthy.")
   in
-  let run listen shards socket_dir warm_state workers queue cache fuel
+  let run listen shards socket_dir warm_state workers queue cache fuel max_fuel
       max_conns backlog health_interval restart_backoff =
     if
       shards < 1 || workers < 1 || queue < 1 || cache < 0 || fuel < 0
-      || max_conns < 1 || backlog < 1 || health_interval <= 0.0
+      || max_fuel < 0 || max_conns < 1 || backlog < 1 || health_interval <= 0.0
       || restart_backoff <= 0.0
     then begin
       Printf.eprintf
         "error: invalid balance parameters (shards %d, workers %d, queue %d, \
-         cache %d, fuel %d, max-conns %d, backlog %d, health-interval %g, \
-         restart-backoff %g)\n"
-        shards workers queue cache fuel max_conns backlog health_interval
-        restart_backoff;
+         cache %d, fuel %d, max-fuel %d, max-conns %d, backlog %d, \
+         health-interval %g, restart-backoff %g)\n"
+        shards workers queue cache fuel max_fuel max_conns backlog
+        health_interval restart_backoff;
       exit 1
     end;
+    check_fuel_ceiling ~fuel ~max_fuel;
     let shard_argv ~index ~socket =
       let base =
         [
@@ -1368,6 +1376,7 @@ let balance_cmd =
           "--queue"; string_of_int queue;
           "--cache"; string_of_int cache;
           "--fuel"; string_of_int fuel;
+          "--max-fuel"; string_of_int max_fuel;
         ]
       in
       let warm =
@@ -1426,7 +1435,8 @@ let balance_cmd =
          ])
     Term.(
       const run $ listen $ shards $ socket_dir $ warm_state $ workers $ queue
-      $ cache $ fuel $ max_conns $ backlog $ health_interval $ restart_backoff)
+      $ cache $ fuel $ max_fuel $ max_conns $ backlog $ health_interval
+      $ restart_backoff)
 
 let main =
   let doc = "Scheduling shared continuous resources on many-cores (SPAA 2014 reproduction)." in

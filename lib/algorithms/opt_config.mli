@@ -17,6 +17,10 @@
 type stats = {
   layers : int list;  (** surviving configurations per time layer *)
   generated : int;  (** configurations generated before pruning *)
+  comparisons : int;
+      (** survivor-versus-candidate comparisons the domination filter
+          made (binary-search probes, staircase compares, group and
+          member checks; the sort is not counted) *)
 }
 
 type solution = {

@@ -21,6 +21,18 @@ let outcome_label = function
   | Timeout -> "timeout"
   | Skip -> "skip"
 
+let judge spec (oracle : Oracle.t) instance =
+  if not (oracle.Oracle.applies instance) then Skip
+  else
+    match
+      Crs_util.Fuel.with_fuel spec.Spec.fuel (fun () ->
+          oracle.Oracle.check instance)
+    with
+    | Ok () -> Pass
+    | Error msg -> Fail msg
+    | exception Crs_util.Fuel.Out_of_fuel -> Timeout
+    | exception e -> Fail ("raised " ^ Printexc.to_string e)
+
 let evaluate spec (oracle : Oracle.t) seed =
   let instance = Spec.instance spec ~seed in
   let digest = Digest.to_hex (Digest.string (Instance.to_string instance)) in
@@ -35,18 +47,7 @@ let evaluate spec (oracle : Oracle.t) seed =
         ])
       "fuzz.case"
       (fun () ->
-        let outcome =
-          if not (oracle.Oracle.applies instance) then Skip
-          else
-            match
-              Crs_util.Fuel.with_fuel spec.Spec.fuel (fun () ->
-                  oracle.Oracle.check instance)
-            with
-            | Ok () -> Pass
-            | Error msg -> Fail msg
-            | exception Crs_util.Fuel.Out_of_fuel -> Timeout
-            | exception e -> Fail ("raised " ^ Printexc.to_string e)
-        in
+        let outcome = judge spec oracle instance in
         if Crs_obs.Trace.enabled () then
           Crs_obs.Trace.add_attrs
             [ ("outcome", Crs_obs.Trace.Str (outcome_label outcome)) ];
@@ -77,11 +78,7 @@ let failing_cases report =
 
 let shrink_failure ?max_checks spec (oracle : Oracle.t) ~seed =
   let failing instance =
-    oracle.Oracle.applies instance
-    && (try
-          Crs_util.Fuel.with_fuel spec.Spec.fuel (fun () ->
-              Result.is_error (oracle.Oracle.check instance))
-        with Crs_util.Fuel.Out_of_fuel | _ -> false)
+    match judge spec oracle instance with Fail _ -> true | _ -> false
   in
   Crs_obs.Trace.with_span_l
     (fun () ->
@@ -91,6 +88,35 @@ let shrink_failure ?max_checks spec (oracle : Oracle.t) ~seed =
       ])
     "fuzz.shrink"
     (fun () -> Shrink.minimize ?max_checks ~failing (Spec.instance spec ~seed))
+
+let counterexample ~shrink spec (oracle : Oracle.t) ~seed =
+  let instance, text, what =
+    if not shrink then (Spec.instance spec ~seed, "", "counterexample")
+    else begin
+      let minimized, stats = shrink_failure spec oracle ~seed in
+      let msg =
+        match judge spec oracle minimized with
+        | Fail msg -> msg
+        | o -> Printf.sprintf "(not reproducible: %s)" (outcome_label o)
+      in
+      ( minimized,
+        Printf.sprintf
+          "shrunk seed %d to %d jobs on %d processors (%d checks): %s\n%s"
+          seed
+          (Instance.total_jobs minimized)
+          (Instance.m minimized) stats.Shrink.checks msg
+          (Instance.to_string minimized),
+        "shrunken counterexample" )
+    end
+  in
+  ( text,
+    Corpus.make
+      ~name:(Printf.sprintf "%s-seed%d" oracle.Oracle.name seed)
+      ~oracle:oracle.Oracle.name ~expect:Corpus.Fail
+      ~note:
+        (Printf.sprintf "%s from fuzz seed %d (%s)" what seed
+           (Spec.family_to_string spec.Spec.family))
+      instance )
 
 let render report =
   let c = report.spec in

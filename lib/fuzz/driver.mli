@@ -32,6 +32,11 @@ val run : ?domains:int -> Crs_campaign.Spec.t -> Oracle.t -> report
     @raise Invalid_argument when {!Crs_campaign.Spec.validate} rejects
     the spec. *)
 
+val judge : Crs_campaign.Spec.t -> Oracle.t -> Crs_core.Instance.t -> outcome
+(** One instance's verdict, as {!run} and {!shrink_failure} both reach
+    it: [Skip] where the oracle does not apply, [Timeout] when the
+    spec's fuel runs out, and an oracle that raises [Fail]s. *)
+
 val failing_cases : report -> (int * string) list
 (** (seed, message) for every [Fail] case, in seed order. *)
 
@@ -42,8 +47,21 @@ val shrink_failure :
   seed:int ->
   Crs_core.Instance.t * Shrink.stats
 (** Re-derive the seed's instance and minimize it under "the oracle
-    still fails" (fuel-metered with the spec's budget; running out
-    counts as not-failing, so shrinking never hangs). *)
+    still fails": {!judge} says [Fail], so a raise fails as in {!run},
+    while running out of the spec's fuel does not (shrinking never
+    hangs). *)
+
+val counterexample :
+  shrink:bool ->
+  Crs_campaign.Spec.t ->
+  Oracle.t ->
+  seed:int ->
+  string * Corpus.entry
+(** What [crsched fuzz] reports and [--pin] saves for a failing seed:
+    with [shrink], the {!shrink_failure} line (sizes, checks, the
+    oracle's message and the minimized instance) and that instance;
+    without, no text and the seed's own instance. The entry expects
+    [Fail]. *)
 
 val render : report -> string
 (** Deterministic multi-line report: header, one line per non-pass case,

@@ -227,6 +227,17 @@ let timeout ~fuel ~fuel_ticks =
     ("fuel_ticks", J.int fuel_ticks);
   ]
 
+let fuel_refused ~fuel ~max_fuel =
+  [
+    ("status", J.str "error");
+    ( "error",
+      J.str
+        (Printf.sprintf "fuel %s exceeds the server's ceiling of %d ticks"
+           (match fuel with Some f -> string_of_int f | None -> "unlimited")
+           max_fuel) );
+    ("max_fuel", J.int max_fuel);
+  ]
+
 let overloaded () = [ ("status", J.str "overloaded") ]
 
 (* Connection-level refusals (additive statuses in crs-serve/1; the

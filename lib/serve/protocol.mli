@@ -98,6 +98,11 @@ val ok_hello : algorithms:string list -> (string * string) list
 
 val error : string -> (string * string) list
 val timeout : fuel:int -> fuel_ticks:int -> (string * string) list
+
+val fuel_refused : fuel:int option -> max_fuel:int -> (string * string) list
+(** A work request's fuel ([None] = unmetered) above the server's
+    [--max-fuel] ceiling: an [error] whose [max_fuel] field names it. *)
+
 val overloaded : unit -> (string * string) list
 val not_applicable : string -> (string * string) list
 

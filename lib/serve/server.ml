@@ -8,6 +8,7 @@ type config = {
   queue : int;
   cache_capacity : int;
   default_fuel : int option;
+  max_fuel : int option;
   max_conns : int;
   backlog : int;
   idle_timeout_s : float;
@@ -21,6 +22,7 @@ let default_config =
     queue = 64;
     cache_capacity = 256;
     default_fuel = Some 5_000_000;
+    max_fuel = None;
     max_conns = 64;
     backlog = 128;
     idle_timeout_s = 30.0;
@@ -252,6 +254,9 @@ let audit (s : Protocol.solve) instance (outcome : Registry.outcome) =
       Error (Printf.sprintf "%s failed certification: %s" s.algorithm msg))
   | _ -> Ok ()
 
+let solve_fuel t (s : Protocol.solve) =
+  match s.fuel with Some _ as f -> f | None -> t.config.default_fuel
+
 (* The answer is computed on the canonical form — witness included — so
    canonically equivalent requests produce byte-identical payloads (and
    share one cache entry). *)
@@ -259,9 +264,7 @@ let do_solve t (s : Protocol.solve) =
   let canonical = Canon.canonicalize s.instance in
   let key = Crs_core.Instance.to_string canonical in
   let canon_digest = Digest.to_hex (Digest.string key) in
-  let fuel =
-    match s.fuel with Some _ as f -> f | None -> t.config.default_fuel
-  in
+  let fuel = solve_fuel t s in
   let cache_key =
     Canon.Solve_key.to_string
       {
@@ -328,6 +331,15 @@ let do_campaign spec =
 
 type item = { id : int option; req_kind : string; line_index : int }
 
+(* The operator's fuel ceiling, checked before any work: a budget above
+   it, or none at all, is refused. *)
+let within_ceiling t fuel work =
+  match t.config.max_fuel with
+  | Some max_fuel when (match fuel with Some f -> f > max_fuel | None -> true)
+    ->
+    (Error_, Protocol.fuel_refused ~fuel ~max_fuel)
+  | _ -> work ()
+
 let do_work t (item, req) =
   let attrs =
     [
@@ -340,8 +352,10 @@ let do_work t (item, req) =
   Trace.with_span ~attrs "serve.request" (fun () ->
       let status, payload =
         match req with
-        | Protocol.Solve s -> do_solve t s
-        | Protocol.Campaign spec -> do_campaign spec
+        | Protocol.Solve s ->
+          within_ceiling t (solve_fuel t s) (fun () -> do_solve t s)
+        | Protocol.Campaign spec ->
+          within_ceiling t spec.fuel (fun () -> do_campaign spec)
         | _ -> assert false (* only work kinds reach the pool *)
       in
       Trace.add_attrs [ ("status", Trace.Str (status_label status)) ];

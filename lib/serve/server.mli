@@ -33,6 +33,11 @@ type config = {
   cache_capacity : int;  (** memo-cache entries; 0 disables *)
   default_fuel : int option;
       (** deadline for requests that don't set ["fuel"]; [None] = none *)
+  max_fuel : int option;
+      (** ceiling on a work request's fuel: a solve's (its own or
+          [default_fuel]) or a campaign's per-item budget. Unmetered or
+          above it is refused with an [error] naming the ceiling;
+          [None] = no ceiling *)
   max_conns : int;  (** concurrent-connection bound; beyond = refused *)
   backlog : int;  (** listen(2) backlog for {!bind_address} *)
   idle_timeout_s : float;
@@ -45,9 +50,9 @@ type config = {
 }
 
 val default_config : config
-(** workers 2, queue 64, cache 256, default fuel [Some 5_000_000],
-    max_conns 64, backlog 128, idle timeout 30 s, drain grace 0.5 s,
-    max line 1 MiB. *)
+(** workers 2, queue 64, cache 256, default fuel [Some 5_000_000], no
+    fuel ceiling, max_conns 64, backlog 128, idle timeout 30 s, drain
+    grace 0.5 s, max line 1 MiB. *)
 
 type t
 

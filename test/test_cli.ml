@@ -250,7 +250,83 @@ let test_serve_param_validation () =
   let code, out = run_capture "serve --idle-timeout=-1 --stdio" in
   Alcotest.(check int) "negative idle-timeout exits 1" 1 code;
   Alcotest.(check bool) "message names idle-timeout" true
-    (has "idle-timeout -1" out)
+    (has "idle-timeout -1" out);
+  let code, out = run_capture "serve --max-fuel=-1 --stdio" in
+  Alcotest.(check int) "negative max-fuel exits 1" 1 code;
+  Alcotest.(check bool) "message names max-fuel" true (has "max-fuel -1" out);
+  (* Under a ceiling the default deadline must fit under it. *)
+  List.iter
+    (fun (cmd, args, names) ->
+      let code, out = run_capture (cmd ^ " " ^ args) in
+      Alcotest.(check int) (cmd ^ " " ^ args ^ " exits 1") 1 code;
+      Alcotest.(check bool) (cmd ^ ": message names both") true (has names out))
+    [
+      ("serve", "--max-fuel 1000 --stdio", "--fuel 5000000 exceeds --max-fuel 1000");
+      ("serve", "--fuel 0 --max-fuel 1000 --stdio", "--fuel 0 (unlimited) exceeds");
+      ("balance", "--max-fuel 1000", "--fuel 5000000 exceeds --max-fuel 1000");
+    ]
+
+(* `balance` forwards --max-fuel to its shards like --fuel: through a
+   real one-shard tier, a solve above the ceiling comes back refused
+   with the ceiling named, and one under it is solved. *)
+let test_balance_forwards_max_fuel () =
+  let module Lines = Crs_serve.Frontend.Lines in
+  let module J = Crs_util.Stable_json in
+  let dir = Filename.temp_dir "crsbal" "" in
+  let sock = Filename.concat dir "front.sock" in
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let pid =
+    Unix.create_process exe
+      [|
+        exe; "balance"; "--listen"; "unix:" ^ sock; "--socket-dir";
+        Filename.concat dir "shards"; "--shards"; "1"; "--workers"; "1";
+        "--max-fuel"; "5000000";
+      |]
+      Unix.stdin null null
+  in
+  Unix.close null;
+  let reaped = ref false in
+  Fun.protect
+    ~finally:(fun () ->
+      if not !reaped then begin
+        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+        ignore (Unix.waitpid [] pid)
+      end;
+      ignore (Sys.command ("rm -rf " ^ Filename.quote dir)))
+    (fun () ->
+      let rec connect tries =
+        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        match Unix.connect fd (Unix.ADDR_UNIX sock) with
+        | () -> fd
+        | exception Unix.Unix_error _ when tries > 0 ->
+          Unix.close fd;
+          Unix.sleepf 0.05;
+          connect (tries - 1)
+      in
+      let fd = connect 200 in
+      let conn = Lines.of_fd fd in
+      let request extra =
+        J.obj
+          ([
+             ("proto", J.str Crs_serve.Protocol.version);
+             ("kind", J.str "solve");
+             ("instance", J.str "1/2 1/2\n1/2\n");
+           ]
+          @ extra)
+      in
+      let above = Lines.rpc conn (request [ ("fuel", J.int 6_000_000) ]) in
+      Alcotest.(check bool) "above the ceiling: refused by the shard" true
+        (has "\"status\":\"error\"" above && has "\"max_fuel\":5000000" above);
+      Alcotest.(check bool) "under the ceiling: solved" true
+        (has "\"status\":\"ok\"" (Lines.rpc conn (request [ ("fuel", J.int 100) ])));
+      ignore
+        (Lines.rpc conn
+           (J.obj
+              [ ("proto", J.str Crs_serve.Protocol.version); ("kind", J.str "shutdown") ]));
+      Unix.close fd;
+      let _, status = Unix.waitpid [] pid in
+      reaped := true;
+      Alcotest.(check bool) "tier drains and exits 0" true (status = Unix.WEXITED 0))
 
 let test_serve_stdio () =
   let reqs = Filename.temp_file "serve" ".jsonl" in
@@ -464,6 +540,8 @@ let suite =
     Alcotest.test_case "serve: parameter validation" `Quick
       test_serve_param_validation;
     Alcotest.test_case "serve --stdio session" `Quick test_serve_stdio;
+    Alcotest.test_case "balance: --max-fuel reaches the shards" `Quick
+      test_balance_forwards_max_fuel;
     Alcotest.test_case "OPERATIONS.md flag tables match --help" `Quick
       test_operations_flag_tables;
     Alcotest.test_case "README solver table matches algorithms --long" `Quick

@@ -1,11 +1,11 @@
 (* The flat-state DP kernels (Opt_two, Opt_config) pinned to data.
 
-   Two digests hold each kernel's answers per instance: makespan, work
+   Digests hold each kernel's answers per instance: makespan, work
    counters and witness schedule. Their inputs span serving sizes, the
    persisted corpus, a fresh seeded population and hand-built instances
    that straddle the small/bigint tier boundary — the layouts' hard
    cases (common-denominator mode refused, small-tier sums spilling to
-   the side table, bigint-tier requirements). Both digests were derived
+   the side table, bigint-tier requirements). The first two were derived
    while the frozen pre-rewrite boxed kernels still ran beside the flat
    ones: on every corpus, fresh and tier-boundary instance, Opt_two's
    lines were the boxed kernel's byte for byte (makespan, cells,
@@ -13,10 +13,13 @@
    count and layer sizes were the boxed kernel's. Opt_config's witness
    is its own (it orders survivors canonically where the boxed kernel
    inherited hash-bucket order, so a replay may pick a different
-   equally-good parent); every one must certify.
+   equally-good parent); every one must certify. A third pins
+   Opt_config on the shapes its first digest leaves out: two and five
+   processors, and bigint-tier remainders.
 
    Beside the digests sit the kernels' work budgets: fuel per reached
-   cell, words per job and words per generated successor. *)
+   cell, words per job, and words and filter comparisons per generated
+   successor. *)
 
 module Q = Crs_num.Rational
 open Crs_core
@@ -195,6 +198,106 @@ let test_witness_digest () =
     witness_digest
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
+(* Seeded general-mode instances whose remainders leave the small tier:
+   near-bound requirements (b - r)/b beside small-denominator ones, so
+   the lcm refuses common-denominator mode and a leftover split across
+   a near-bound job and a thirds or sevenths job lands in the bigint
+   side array. *)
+let near_bound_general () =
+  let b = Q.small_bound in
+  let st = Random.State.make [| 0xB16; 5 |] in
+  let req () =
+    if Random.State.bool st then frac (b - 1 - Random.State.int st 20) b
+    else
+      let q = [| 2; 3; 5; 7 |].(Random.State.int st 4) in
+      frac (1 + Random.State.int st q) q
+  in
+  List.concat_map
+    (fun (m, jobs, count) ->
+      List.init count (fun k ->
+          ( Printf.sprintf "near-bound m=%d #%d" m (k + 1),
+            Helpers.instance_of_strings
+              (List.init m (fun _ -> List.init (1 + Random.State.int st jobs) (fun _ -> req ()))) )))
+    [ (2, 4, 10); (3, 3, 12); (4, 2, 8) ]
+
+(* The second pin's inputs: the shapes the first leaves out. Two
+   processors through Opt_config itself (campaign families and
+   exact-cold's m = 2 family), five processors (campaign families at
+   two and three jobs each), and general-mode instances with bigint-tier
+   remainders. *)
+let opt_config_wide_inputs () =
+  let campaign shapes =
+    List.concat_map
+      (fun (family, m, n, seeds) ->
+        List.init seeds (fun k ->
+            let seed = k + 1 in
+            ( Printf.sprintf "%s m=%d n=%d seed=%d"
+                (Crs_campaign.Spec.family_to_string family)
+                m n seed,
+              campaign_instance family ~m ~n ~seed )))
+      shapes
+  in
+  let exact_cold_m2 =
+    let spec =
+      {
+        Crs_generators.Random_gen.m = 2;
+        jobs_min = 60;
+        jobs_max = 120;
+        granularity = 20;
+        allow_zero = false;
+      }
+    in
+    List.init 5 (fun k ->
+        ( Printf.sprintf "exact-cold m=2 seed=%d" (k + 1),
+          Crs_generators.Random_gen.instance ~spec (Random.State.make [| k + 1 |]) ))
+  in
+  Crs_campaign.Spec.(
+    campaign
+      [
+        (Uniform, 2, 8, 10); (Heavy_tailed, 2, 8, 10); (Balanced, 2, 8, 10);
+        (Uniform, 2, 40, 3); (Heavy_tailed, 2, 40, 3);
+        (Uniform, 5, 2, 10); (Heavy_tailed, 5, 2, 10); (Balanced, 5, 3, 5);
+        (Uniform, 5, 3, 2); (Heavy_tailed, 5, 3, 4);
+      ])
+  @ exact_cold_m2 @ near_bound_general ()
+
+(* Pinned like [witness_digest], with each solve's fuel ticks as well.
+   It was derived while the domination filter still scanned every
+   survivor per candidate, before the staircase and the job-count
+   groups replaced that scan; those must keep the survivors, their
+   order, the generated count and the fuel price. *)
+let witness_digest_wide = "88625194439f7d33395b90917f99edba"
+
+let test_witness_digest_wide () =
+  let inputs = opt_config_wide_inputs () in
+  let general = ref 0 in
+  let buf = Buffer.create (1 lsl 16) in
+  List.iter
+    (fun (name, i) ->
+      let before = Crs_util.Fuel.ticks () in
+      let s = OC.solve i in
+      let ticks = Crs_util.Fuel.ticks () - before in
+      (match Crs_fuzz.Certify.check i s.OC.schedule ~claimed:s.OC.makespan with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.failf "%s: witness rejected: %s" name msg);
+      if
+        List.exists
+          (fun r -> not (Q.is_small r))
+          (List.concat_map Array.to_list
+             (Array.to_list (Schedule.rows s.OC.schedule)))
+      then incr general;
+      Printf.bprintf buf "%s: %d [%s] %d %d\n%s\n" name s.OC.makespan
+        (String.concat ";" (List.map string_of_int s.OC.stats.OC.layers))
+        s.OC.stats.OC.generated ticks
+        (Schedule.to_string s.OC.schedule))
+    inputs;
+  Alcotest.(check bool) "some witness carries a bigint-tier share" true (!general > 0);
+  Alcotest.(check string)
+    (Printf.sprintf "%d solves: makespan, layers, generated, ticks, witness"
+       (List.length inputs))
+    witness_digest_wide
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 (* Allocation budget of the search loop: minor words spent inside the
    solves per generated successor, on seeds 1-50 of the campaign-sweep
    family (uniform, m = 3, n = 6). With tracing and metrics off the
@@ -219,6 +322,35 @@ let test_alloc_budget () =
     (Printf.sprintf "%.1f minor words per generated successor (%d generated) <= 40"
        per !generated)
     true (per <= 40.0)
+
+(* Work budget of the domination filter: its survivor-versus-candidate
+   comparisons per generated successor, on uniform campaign families
+   at m = 3, 4 and 5 (seeds 1-10). The count repeats exactly. The
+   pairwise scan it replaced spent 15.33, 115.36 and 66.13 here; the
+   staircase (m = 3) spends 2.16, the job-count groups 13.59 and 8.80.
+   Fuel is still one tick per generated successor: the filter charges
+   nothing. *)
+let test_comparison_budget () =
+  List.iter
+    (fun (m, n, budget) ->
+      let comparisons = ref 0 and generated = ref 0 in
+      for seed = 1 to 10 do
+        let i = campaign_instance Crs_campaign.Spec.Uniform ~m ~n ~seed in
+        let before = Crs_util.Fuel.ticks () in
+        let s = OC.solve i in
+        Alcotest.(check int)
+          (Printf.sprintf "m=%d n=%d seed=%d: fuel ticks = generated" m n seed)
+          s.OC.stats.OC.generated
+          (Crs_util.Fuel.ticks () - before);
+        comparisons := !comparisons + s.OC.stats.OC.comparisons;
+        generated := !generated + s.OC.stats.OC.generated
+      done;
+      let per = float_of_int !comparisons /. float_of_int !generated in
+      Alcotest.(check bool)
+        (Printf.sprintf "m=%d n=%d: %.2f comparisons per generated successor <= %.0f"
+           m n per budget)
+        true (per <= budget))
+    [ (3, 6, 3.0); (4, 4, 20.0); (5, 2, 15.0) ]
 
 (* Opt_two's inputs: perfbench exact-cold's m = 2 family (60-120 jobs
    per processor, granularity 20) and its heavy-tailed variant, Figure
@@ -347,6 +479,10 @@ let suite =
       test_makespan_words;
     Alcotest.test_case "opt_config witnesses pinned to a digest" `Quick
       test_witness_digest;
+    Alcotest.test_case "opt_config wide shapes pinned to a digest" `Quick
+      test_witness_digest_wide;
     Alcotest.test_case "opt_config allocation budget per successor" `Quick
       test_alloc_budget;
+    Alcotest.test_case "opt_config filter comparisons per successor" `Quick
+      test_comparison_budget;
   ]

@@ -366,6 +366,57 @@ let test_driver_times_out_on_tiny_fuel () =
   let report = F.Driver.run spec oracle in
   Alcotest.(check int) "every seed timed out" 3 report.F.Driver.timeouts
 
+(* An oracle that raises on every instance of two or more jobs. *)
+let raising_oracle =
+  {
+    F.Oracle.name = "raises";
+    about = "raises on two or more jobs";
+    applies = (fun _ -> true);
+    check =
+      (fun i -> if Instance.total_jobs i >= 2 then failwith "boom" else Ok ());
+  }
+
+(* A raise is a failure on every path: the sweep reports it, the
+   shrinker accepts the seed's instance and minimizes it (instead of
+   refusing it as passing), and what `crsched fuzz` pins is the
+   minimized instance with --shrink and the seed's own without. *)
+let test_driver_raising_oracle () =
+  let spec = { Spec.default with m = 2; n = 3; seed_lo = 1; seed_hi = 2 } in
+  let report = F.Driver.run spec raising_oracle in
+  Alcotest.(check int) "both seeds fail" 2 report.F.Driver.failures;
+  let seed, msg = List.hd (F.Driver.failing_cases report) in
+  Alcotest.(check bool) "the raise is the message" true
+    (Helpers.contains ~needle:"raised" msg);
+  let instance_of (e : F.Corpus.entry) =
+    match Instance.of_string e.F.Corpus.instance_text with
+    | Ok i -> i
+    | Error m -> Alcotest.failf "pinned instance unreadable: %s" m
+  in
+  let text, shrunk = F.Driver.counterexample ~shrink:true spec raising_oracle ~seed in
+  let minimized = instance_of shrunk in
+  Alcotest.(check int) "shrunk to a two-job local minimum" 2
+    (Instance.total_jobs minimized);
+  Alcotest.(check bool) "still fails" true
+    (match F.Driver.judge spec raising_oracle minimized with
+    | F.Driver.Fail _ -> true
+    | _ -> false);
+  Alcotest.(check bool) "shrink line names the raise" true
+    (Helpers.contains ~needle:"shrunk seed 1 to 2 jobs" text
+    && Helpers.contains ~needle:"raised" text);
+  let text, own = F.Driver.counterexample ~shrink:false spec raising_oracle ~seed in
+  Alcotest.(check string) "no shrink line" "" text;
+  Alcotest.(check string) "pins the seed's own instance"
+    (Instance.to_string (Spec.instance spec ~seed))
+    own.F.Corpus.instance_text;
+  Alcotest.(check bool) "expects fail" true (own.F.Corpus.expect = F.Corpus.Fail);
+  let dir = Filename.temp_dir "pin" "" in
+  Fun.protect
+    ~finally:(fun () -> ignore (Sys.command ("rm -rf " ^ Filename.quote dir)))
+    (fun () ->
+      match F.Corpus.load_file (F.Corpus.save ~dir own) with
+      | Ok e -> Alcotest.(check string) "saved entry reads back" (F.Corpus.to_json own) (F.Corpus.to_json e)
+      | Error m -> Alcotest.failf "pinned entry unreadable: %s" m)
+
 let suite =
   [
     Alcotest.test_case "certify: accepts an optimal witness" `Quick
@@ -396,6 +447,8 @@ let suite =
       test_driver_deterministic;
     Alcotest.test_case "driver: rejects bad configs" `Quick
       test_driver_rejects_bad_config;
+    Alcotest.test_case "driver: a raising oracle fails, shrinks and pins" `Quick
+      test_driver_raising_oracle;
     Alcotest.test_case "driver: fuel exhaustion -> timeout" `Quick
       test_driver_times_out_on_tiny_fuel;
     Alcotest.test_case "corpus: strict reader refuses bad escapes" `Quick

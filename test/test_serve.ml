@@ -341,6 +341,59 @@ let test_server_fuel_opt_two_pinned () =
       Alcotest.(check string) "budget = reachable cells solves" "ok"
         (status price))
 
+(* An operator's fuel ceiling: a solve's fuel above it, or a
+   campaign's unmetered items, is refused with an error naming the
+   ceiling; fuel at or under it, the solve's own or the default, is
+   served; and the default config sets no ceiling. *)
+let test_server_fuel_ceiling () =
+  let inst = Helpers.instance_of_strings [ [ "1/2"; "1/2" ]; [ "1/2" ] ] in
+  let solve server extra =
+    Server.handle_line server
+      (solve_line ~extra:(("algorithm", J.str R.Names.optimal) :: extra) inst)
+  in
+  let campaign server fuel =
+    Server.handle_line server
+      (J.obj
+         [
+           ("proto", J.str Protocol.version);
+           ("kind", J.str "campaign");
+           ("m", J.int 2);
+           ("n", J.int 2);
+           ("seed_lo", J.int 1);
+           ("seed_hi", J.int 2);
+           ("fuel", fuel);
+         ])
+  in
+  let refused what response ~names =
+    Alcotest.(check string) (what ^ ": refused") "error" (response_status response);
+    match J.parse response with
+    | Ok json ->
+      Alcotest.(check bool) (what ^ ": max_fuel field") true
+        (J.member "max_fuel" json = Some (J.Int 1000));
+      Alcotest.(check bool) (what ^ ": message names the budget") true
+        (Helpers.contains ~needle:names response)
+    | Error msg -> Alcotest.failf "unparseable refusal: %s" msg
+  in
+  with_server
+    { small_config with Server.default_fuel = Some 1000; max_fuel = Some 1000 }
+    (fun server ->
+      refused "fuel above" (solve server [ ("fuel", J.int 1001) ]) ~names:"1001";
+      refused "unmetered campaign" (campaign server (J.int_opt None)) ~names:"unlimited";
+      refused "campaign above" (campaign server (J.int 5000)) ~names:"5000";
+      Alcotest.(check string) "fuel at the ceiling" "ok"
+        (response_status (solve server [ ("fuel", J.int 1000) ]));
+      Alcotest.(check string) "fuel omitted: the default" "ok"
+        (response_status (solve server []));
+      Alcotest.(check string) "campaign within" "ok"
+        (response_status (campaign server (J.int 1000))));
+  Alcotest.(check bool) "no ceiling by default" true
+    (Server.default_config.max_fuel = None);
+  with_server small_config (fun server ->
+      Alcotest.(check string) "any fuel without a ceiling" "ok"
+        (response_status (solve server [ ("fuel", J.int max_int) ]));
+      Alcotest.(check string) "unmetered campaign without a ceiling" "ok"
+        (response_status (campaign server (J.int_opt None))))
+
 let test_server_cache_hits () =
   with_server small_config (fun server ->
       let i = random_instance 8 in
@@ -1097,6 +1150,8 @@ let suite =
       test_server_fuel_timeout;
     Alcotest.test_case "server: opt_two fuel price pinned to reached cells"
       `Quick test_server_fuel_opt_two_pinned;
+    Alcotest.test_case "server: fuel ceiling refuses, accepts, off by default"
+      `Quick test_server_fuel_ceiling;
     Alcotest.test_case "server: memo cache hits on repeats" `Quick
       test_server_cache_hits;
     Alcotest.test_case "server: stats expose executor saturation" `Quick
