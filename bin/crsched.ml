@@ -147,24 +147,26 @@ let gen_cmd =
     Arg.(value & opt int 20 & info [ "granularity" ] ~doc:"Requirement grid 1/g.")
   in
   let run family m n seed granularity =
-    let st = Random.State.make [| seed |] in
-    let spec =
-      { Crs_generators.Random_gen.default_spec with m; jobs_min = n; jobs_max = n; granularity }
-    in
-    let instance =
-      match family with
-      | "uniform" -> Crs_generators.Random_gen.instance ~spec st
-      | "heavy-tailed" -> Crs_generators.Random_gen.heavy_tailed ~spec st
-      | "balanced" -> Crs_generators.Random_gen.balanced_load ~spec st
-      | "rr-worst" -> Crs_generators.Adversarial.round_robin_family ~n
-      | "gb-worst" -> Crs_generators.Adversarial.greedy_balance_family ~m ~blocks:n ()
-      | "figure1" -> Crs_generators.Adversarial.figure1
-      | "figure2" -> Crs_generators.Adversarial.figure2
-      | other ->
-        Printf.eprintf "error: unknown family %s\n" other;
-        exit 1
-    in
-    print_string (Instance.to_string instance)
+    try
+      let st = Random.State.make [| seed |] in
+      let spec =
+        { Crs_generators.Random_gen.default_spec with m; jobs_min = n; jobs_max = n; granularity }
+      in
+      let instance =
+        match family with
+        | "uniform" -> Crs_generators.Random_gen.instance ~spec st
+        | "heavy-tailed" -> Crs_generators.Random_gen.heavy_tailed ~spec st
+        | "balanced" -> Crs_generators.Random_gen.balanced_load ~spec st
+        | "rr-worst" -> Crs_generators.Adversarial.round_robin_family ~n
+        | "gb-worst" -> Crs_generators.Adversarial.greedy_balance_family ~m ~blocks:n ()
+        | "figure1" -> Crs_generators.Adversarial.figure1
+        | "figure2" -> Crs_generators.Adversarial.figure2
+        | other ->
+          Printf.eprintf "error: unknown family %s\n" other;
+          exit 1
+      in
+      print_string (Instance.to_string instance)
+    with Invalid_argument msg -> fail msg
   in
   Cmd.v
     (Cmd.info "gen" ~doc:"Generate a CRSharing instance.")
@@ -661,8 +663,8 @@ let reduce_cmd =
   in
   let decide = Arg.(value & flag & info [ "decide" ] ~doc:"Also solve exactly and decide.") in
   let run elements decide =
-    let p = Crs_reduction.Partition.make (Array.of_list elements) in
     (try
+       let p = Crs_reduction.Partition.make (Array.of_list elements) in
        let instance = Crs_reduction.Reduce.to_crsharing p in
        print_string (Instance.to_string instance);
        if decide then begin
@@ -854,6 +856,7 @@ let simulate_cmd =
          & info [ "svg" ] ~docv:"FILE" ~doc:"Write the greedy-balance run as a timeline SVG.")
   in
   let run cores workload seed trace_file csv svg =
+    if cores < 1 then fail (Printf.sprintf "--cores must be at least 1 (got %d)" cores);
     let st = Random.State.make [| seed |] in
     let tasks =
       match trace_file with

@@ -1,29 +1,27 @@
 (* OptResAssignment2 (paper, Section 7) on a flat state encoding.
 
-   A configuration is encoded as one int-array key:
+   A configuration is encoded as one key: the jobs completed per
+   processor, then each active job's remaining requirement in one of two
+   tiers, chosen once per solve by [Rational.common_denominator]:
 
-     ints = [| j_0 .. j_{m-1};  p_0; q_0;  ..  p_{m-1}; q_{m-1} |]
+   - Common-denominator tier, when the lcm L of the requirements'
+     denominators is at most max_int / m. Every remainder the search
+     can form is a multiple of 1/L in [0, 1], so a key is 2m ints,
 
-   jobs completed per processor followed by each active job's remaining
-   requirement. The remainder encoding depends on the per-solve mode:
+       ints = [| j_0 .. j_{m-1};  p_0 .. p_{m-1} |]
 
-   - Common-denominator mode (the fast path, taken when every
-     requirement is small-tier and the lcm L of their denominators is
-     itself small): every remainder the search can form is an exact
-     multiple of 1/L, so keys store plain numerators over q_i = L and
-     the hot loop is pure int arithmetic — no gcds, no allocation.
-     Equal values have equal numerators, so int equality on keys is
-     still value equality and dedup/domination decisions are exactly
-     those of the canonical encoding.
+     with remainder i = p_i / L. A finish set's cost sums at most m
+     numerators, at most m L, so the hot loop is int arithmetic: no
+     gcds, no allocation, no overflow. Equal values have equal
+     numerators, so int equality on keys is value equality.
 
-   - General mode: canonical small-tier parts (the [Rational] S
-     invariant); a remainder outside the small tier is flagged by
-     q_i = 0 and carried, in processor order, in a rare [bigs] side
-     array. Canonical parts are the value's unique spelling (int
-     equality is value equality), tiers are deterministic (the q = 0
-     sentinel cannot collide with a real small denominator), and big
-     remainders are compared with exact [Rational.equal] — the hash
-     only routes, equality always decides.
+   - Boxed tier, when L is larger: [ints] holds the m job counts and
+     [rems] the m remainders as canonical [Rational.t] values, compared
+     with [Rational.equal] and [Rational.compare].
+
+   Both tiers decide on the same exact values, so the survivors, their
+   order, the generated count, the fuel ticks and the witness do not
+   depend on the tier.
 
    Nodes carry only their key and parent: boxed remainders and the
    per-step share vectors are reconstructed from the keys when the
@@ -52,14 +50,13 @@
    order. *)
 
 module Q = Crs_num.Rational
-module SR = Crs_num.Smallrat
 open Crs_core
 
 type stats = { layers : int list; generated : int; comparisons : int }
 type solution = { makespan : int; schedule : Schedule.t; stats : stats }
 
 module Key = struct
-  type t = { ints : int array; bigs : Q.t array }
+  type t = { ints : int array; rems : Q.t array }
 
   (* Keys within one solve always have equal lengths; compare contents
      directly, ints first (they discriminate almost always). Both run
@@ -72,20 +69,21 @@ module Key = struct
     && (let i = ref 0 in
         while !i < n && ai.(!i) = bi.(!i) do incr i done;
         !i >= n)
-    && Array.length a.bigs = Array.length b.bigs
-    && (let ab = a.bigs and bb = b.bigs in
-        let nb = Array.length ab in
+    && (let ar = a.rems and br = b.rems in
+        let nr = Array.length ar in
+        nr = Array.length br
+        &&
         let i = ref 0 in
-        while !i < nb && Q.equal ab.(!i) bb.(!i) do incr i done;
-        !i >= nb)
+        while !i < nr && Q.equal ar.(!i) br.(!i) do incr i done;
+        !i >= nr)
 
-  let hash { ints; bigs } =
+  let hash { ints; rems } =
     let h = ref 0x811c9dc5 in
     for i = 0 to Array.length ints - 1 do
       h := (!h lxor ints.(i)) * 0x01000193 land max_int
     done;
-    for i = 0 to Array.length bigs - 1 do
-      h := (!h lxor Q.hash bigs.(i)) * 0x01000193 land max_int
+    for i = 0 to Array.length rems - 1 do
+      h := (!h lxor Q.hash rems.(i)) * 0x01000193 land max_int
     done;
     !h
 end
@@ -99,10 +97,8 @@ let solve ?(prune = true) instance =
     invalid_arg "Opt_config: unit-size jobs only";
   let m = Instance.m instance in
   let n_i = Array.init m (Instance.n_i instance) in
-  (* Requirements prefetched once: boxed rows plus small-tier parts
-     (index n_i(i) holds the zero of the dummy job; reqq = 0 flags a
-     bigint-tier requirement). *)
-  let req_boxed =
+  (* Requirement rows; index n_i(i) holds the zero of the dummy job. *)
+  let reqb =
     Array.init m (fun i ->
         Array.init
           (n_i.(i) + 1)
@@ -110,88 +106,26 @@ let solve ?(prune = true) instance =
             if k < n_i.(i) then Job.requirement (Instance.job instance i k)
             else Q.zero))
   in
-  let reqp = Array.map (fun row -> Array.make (Array.length row) 0) req_boxed in
-  let reqq = Array.map (fun row -> Array.make (Array.length row) 0) req_boxed in
-  Array.iteri
-    (fun i row ->
-      Array.iteri
-        (fun k r ->
-          if Q.is_small r then begin
-            reqp.(i).(k) <- Q.small_num r;
-            reqq.(i).(k) <- Q.small_den r
-          end)
-        row)
-    req_boxed;
-  (* Common-denominator mode (see header): lden = 0 disables it,
-     otherwise reqn holds requirement numerators scaled to lden. The
-     numerator cap keeps a sum over all m processors away from
-     overflow (costs add at most m remainders). *)
+  (* The remainder tier (see the header): lden = 0 selects the boxed
+     tier; otherwise reqn holds the requirements' numerators over lden. *)
   let lden, reqn =
-    let max_num = (1 lsl 59) / max 1 m in
-    let l = ref 1 and ok = ref true in
-    Array.iter
-      (Array.iter (fun q ->
-           if q = 0 then ok := false
-           else begin
-             let l' = !l / Crs_num.Natural.gcd_int !l q * q in
-             if l' > Q.small_bound then ok := false else l := l'
-           end))
-      reqq;
-    if not !ok then (0, [||])
-    else begin
-      let scaled =
-        Array.mapi
-          (fun i row ->
-            Array.mapi
-              (fun k p ->
-                let f = !l / reqq.(i).(k) in
-                if p > max_num / f then ok := false;
-                p * f)
-              row)
-          reqp
-      in
-      if !ok then (!l, scaled) else (0, [||])
-    end
+    match Q.common_denominator ~bound:(max_int / m) reqb with
+    | Some (l, rn) -> (l, rn)
+    | None -> (0, [||])
   in
-  let klen = 3 * m in
-  let jdx i = i
-  and pdx i = m + (2 * i)
-  and qdx i = m + (2 * i) + 1 in
-  (* Boxed remainder of processor [i] in [key], canonicalized from the
-     stored parts (or fetched from the side array: bigs are kept in
-     ascending processor order). Only replay, big-tier compares and
-     boxed fallbacks pay this. *)
-  let rem_of (key : Key.t) i =
-    let q = key.Key.ints.(qdx i) in
-    if q <> 0 then SR.to_rational key.Key.ints.(pdx i) q
-    else begin
-      let bi = ref 0 in
-      for j = 0 to i - 1 do
-        if key.Key.ints.(qdx j) = 0 then incr bi
-      done;
-      key.Key.bigs.(!bi)
-    end
+  let boxed = lden = 0 in
+  (* Processor [i]'s remainder in [key], boxed: the replay pays this. *)
+  let rem (key : Key.t) i =
+    if boxed then key.Key.rems.(i) else Q.of_ints key.Key.ints.(m + i) lden
   in
   let start =
-    let ints = Array.make klen 0 in
-    let bigs = ref [] in
-    for i = m - 1 downto 0 do
-      if lden <> 0 then begin
-        ints.(pdx i) <- reqn.(i).(0);
-        ints.(qdx i) <- lden
-      end
-      else begin
-        let q = reqq.(i).(0) in
-        ints.(pdx i) <- reqp.(i).(0);
-        ints.(qdx i) <- q;
-        if q = 0 then bigs := req_boxed.(i).(0) :: !bigs
-      end
-    done;
     {
       key =
         {
-          Key.ints;
-          bigs = (if !bigs = [] then [||] else Array.of_list !bigs);
+          Key.ints =
+            Array.init (if boxed then m else 2 * m) (fun x ->
+                if x < m then 0 else reqn.(x - m).(0));
+          rems = (if boxed then Array.init m (fun i -> reqb.(i).(0)) else [||]);
         };
       parent = None;
     }
@@ -199,7 +133,7 @@ let solve ?(prune = true) instance =
   let is_final node =
     let ints = node.key.Key.ints in
     let i = ref 0 in
-    while !i < m && ints.(jdx !i) >= n_i.(!i) do incr i done;
+    while !i < m && ints.(!i) >= n_i.(!i) do incr i done;
     !i >= m
   in
   if is_final start then
@@ -224,20 +158,17 @@ let solve ?(prune = true) instance =
        far outnumber the successors a solve keeps; so the search
        allocates only what it keeps, a key copy and a node per new
        successor. *)
-    (* Remainder order for processor [i], preferring the unboxed parts
-       (equal denominators — always the case in common-denominator
-       mode — compare by numerator, forming no products). *)
+    (* Remainder order for processor [i]: one int compare in the
+       common-denominator tier. *)
     let rem_cmp a b i =
-      let qa = a.key.Key.ints.(qdx i) and qb = b.key.Key.ints.(qdx i) in
-      if qa <> 0 && qb <> 0 then
-        SR.compare a.key.Key.ints.(pdx i) qa b.key.Key.ints.(pdx i) qb
-      else Q.compare (rem_of a.key i) (rem_of b.key i)
+      if boxed then Q.compare a.key.Key.rems.(i) b.key.Key.rems.(i)
+      else Stdlib.compare (a.key.Key.ints.(m + i) : int) b.key.Key.ints.(m + i)
     in
     (* Processor [i]'s desirability order: more jobs done, then smaller
        remainder; negative when [a] is the more desirable. A total
        order per processor: equal means same job and same remainder. *)
     let proc_cmp a b i =
-      let ja = a.key.Key.ints.(jdx i) and jb = b.key.Key.ints.(jdx i) in
+      let ja = a.key.Key.ints.(i) and jb = b.key.Key.ints.(i) in
       if ja <> jb then Stdlib.compare (jb : int) ja else rem_cmp a b i
     in
     (* Lexicographic over processors 0..m-1. Domination (Lemma 4: at
@@ -368,7 +299,7 @@ let solve ?(prune = true) instance =
           let behind = ref false and ahead = ref true and tied = ref true in
           let i = ref 1 in
           while (not !behind) && !i < m do
-            let d = gcnt.(base + !i) - ci.(jdx !i) in
+            let d = gcnt.(base + !i) - ci.(!i) in
             if d < 0 then behind := true
             else if d = 0 then ahead := false
             else tied := false;
@@ -384,7 +315,7 @@ let solve ?(prune = true) instance =
                 let mem = arr.(!s) in
                 let ok = ref true and i = ref 1 in
                 while !ok && !i < m do
-                  if gcnt.(base + !i) = ci.(jdx !i) then
+                  if gcnt.(base + !i) = ci.(!i) then
                     ok := rem_cmp mem cand !i <= 0;
                   incr i
                 done;
@@ -407,7 +338,7 @@ let solve ?(prune = true) instance =
             let g = !ng in
             incr ng;
             for i = 1 to k do
-              gcnt.((g * m) + i) <- ci.(jdx i)
+              gcnt.((g * m) + i) <- ci.(i)
             done;
             gnext.(s) <- -1;
             ghead.(g) <- s
@@ -430,230 +361,97 @@ let solve ?(prune = true) instance =
     in
     (* Scratch state for streaming successor enumeration: keys are
        assembled in place and only copied when a probe misses. *)
-    let sk_ints = Array.make klen 0 in
-    let sk = { Key.ints = sk_ints; bigs = [||] } in
+    let sk_ints = Array.make (Array.length start.key.Key.ints) 0 in
+    let sk_rems = Array.make (Array.length start.key.Key.rems) Q.zero in
+    let sk = { Key.ints = sk_ints; rems = sk_rems } in
     let actives = Array.make m 0 in
     let in_finished = Array.make m false in
-    let cost = SR.out () and lo = SR.out () and vo = SR.out () in
-    (* General mode's leftover for the current finish set: [lo] holds
-       its small-tier parts, [lo_big] the value once it left the small
-       tier; [lo_box] caches its boxed form, built at most once per
-       mask (only for boxed fallbacks along partial successors). *)
-    let lo_big = ref None in
-    let lo_box = ref Q.zero and lo_have = ref false in
-    let leftover_boxed () =
-      if not !lo_have then begin
-        (lo_box :=
-           match !lo_big with
-           | Some l -> l
-           | None -> SR.to_rational lo.p lo.q);
-        lo_have := true
-      end;
-      !lo_box
-    in
+    (* The current finish set's leftover 1 - cost: [lo_n] over lden, or
+       [lo_q] in the boxed tier. *)
+    let lo_n = ref 0 and lo_q = ref Q.zero in
     (* One dedup table for the whole solve, cleared (capacity kept)
        between layers: fig3-like instances have hundreds of tiny
        layers, where a fresh bucket array per layer dominates. *)
     let next : node H.t = H.create 64 in
     let rev_order = ref [] in
-    (* Probe the scratch key ([bigs] lists any big-tier entries, in
-       ascending processor order); on a miss, materialize and queue
-       the successor of [nd]. *)
-    let commit nd bigs =
-      let probe =
-        if bigs = [] then sk
-        else { Key.ints = sk_ints; bigs = Array.of_list bigs }
-      in
-      if not (H.mem seen probe) && not (H.mem next probe) then begin
-        let key = { Key.ints = Array.copy sk_ints; bigs = probe.Key.bigs } in
+    (* Emit one successor of [nd] for the finish set marked in
+       [in_finished]: [partial] < 0 finishes the set and wastes any
+       leftover; otherwise processor [partial] invests the leftover.
+       Numerators are stored raw over lden, never reduced, keeping the
+       encoding uniform for dedup. Probe the scratch key; on a miss,
+       materialize and queue the successor. *)
+    let emit nd partial =
+      Crs_util.Fuel.charge fuel;
+      incr generated;
+      let c = nd.key in
+      for i = 0 to m - 1 do
+        let fin = in_finished.(i) in
+        let j' = if fin then c.Key.ints.(i) + 1 else c.Key.ints.(i) in
+        sk_ints.(i) <- j';
+        if boxed then
+          sk_rems.(i) <-
+            (if fin then reqb.(i).(j')
+             else if i = partial then Q.sub c.Key.rems.(i) !lo_q
+             else c.Key.rems.(i))
+        else
+          sk_ints.(m + i) <-
+            (if fin then reqn.(i).(j')
+             else if i = partial then c.Key.ints.(m + i) - !lo_n
+             else c.Key.ints.(m + i))
+      done;
+      if not (H.mem seen sk) && not (H.mem next sk) then begin
+        let key = { Key.ints = Array.copy sk_ints; rems = Array.copy sk_rems } in
         let node = { key; parent = Some nd } in
         H.add next key node;
         rev_order := node :: !rev_order
       end
     in
-    (* Emit one successor of [nd] for the finish set marked in
-       [in_finished], in common-denominator mode: [partial] < 0
-       finishes the set and wastes any leftover; otherwise processor
-       [partial] keeps the remainder numerator [pnum]. Stores are raw
-       (num, lden) pairs — never reduced — keeping the encoding uniform
-       for dedup. *)
-    let emit_cd nd partial pnum =
-      Crs_util.Fuel.charge fuel;
-      incr generated;
-      let c_ints = nd.key.Key.ints in
-      for i = m - 1 downto 0 do
-        if in_finished.(i) then begin
-          let j' = c_ints.(jdx i) + 1 in
-          sk_ints.(jdx i) <- j';
-          sk_ints.(pdx i) <- reqn.(i).(j');
-          sk_ints.(qdx i) <- lden
-        end
-        else begin
-          sk_ints.(jdx i) <- c_ints.(jdx i);
-          sk_ints.(pdx i) <- (if i = partial then pnum else c_ints.(pdx i));
-          sk_ints.(qdx i) <- c_ints.(qdx i)
-        end
-      done;
-      commit nd []
-    in
-    (* The same in general mode: [partial] < 0 finishes the set and
-       wastes any leftover; otherwise processor [partial] receives the
-       leftover. *)
-    let emit_general nd partial =
-      Crs_util.Fuel.charge fuel;
-      incr generated;
-      let c_ints = nd.key.Key.ints in
-      let bigs = ref [] in
-      for i = m - 1 downto 0 do
-        if in_finished.(i) then begin
-          let j' = c_ints.(jdx i) + 1 in
-          sk_ints.(jdx i) <- j';
-          let q = reqq.(i).(j') in
-          sk_ints.(pdx i) <- reqp.(i).(j');
-          sk_ints.(qdx i) <- q;
-          if q = 0 then bigs := req_boxed.(i).(j') :: !bigs
-        end
-        else if i = partial then begin
-          sk_ints.(jdx i) <- c_ints.(jdx i);
-          let p = c_ints.(pdx i) and q = c_ints.(qdx i) in
-          if
-            q <> 0
-            && (match !lo_big with
-               | None -> SR.sub vo p q lo.p lo.q
-               | Some _ -> false)
-          then begin
-            sk_ints.(pdx i) <- vo.p;
-            sk_ints.(qdx i) <- vo.q
-          end
-          else begin
-            let v' = Q.sub (rem_of nd.key i) (leftover_boxed ()) in
-            if Q.is_small v' then begin
-              sk_ints.(pdx i) <- Q.small_num v';
-              sk_ints.(qdx i) <- Q.small_den v'
-            end
-            else begin
-              sk_ints.(pdx i) <- 0;
-              sk_ints.(qdx i) <- 0;
-              bigs := v' :: !bigs
-            end
-          end
-        end
-        else begin
-          sk_ints.(jdx i) <- c_ints.(jdx i);
-          sk_ints.(pdx i) <- c_ints.(pdx i);
-          let q = c_ints.(qdx i) in
-          sk_ints.(qdx i) <- q;
-          if q = 0 then bigs := rem_of nd.key i :: !bigs
-        end
-      done;
-      commit nd !bigs
-    in
     let expand nd =
-      let c_ints = nd.key.Key.ints in
+      let c = nd.key in
+      let ints = c.Key.ints in
       let k = ref 0 in
       for i = 0 to m - 1 do
-        if c_ints.(jdx i) < n_i.(i) then begin
+        if ints.(i) < n_i.(i) then begin
           actives.(!k) <- i;
           incr k
         end
       done;
       let k = !k in
       for mask = 1 to (1 lsl k) - 1 do
-        if lden <> 0 then begin
-          (* Common-denominator fast path: every remainder is a
-             numerator over lden; the prefetch guard bounds sums, so
-             nothing below can overflow. *)
-          let cost_n = ref 0 in
+        (* Mark the finish set and sum its cost. *)
+        let cost_n = ref 0 and cost_q = ref Q.zero in
+        for b = 0 to k - 1 do
+          if mask land (1 lsl b) <> 0 then begin
+            let i = actives.(b) in
+            in_finished.(i) <- true;
+            if boxed then cost_q := Q.add !cost_q c.Key.rems.(i)
+            else cost_n := !cost_n + ints.(m + i)
+          end
+        done;
+        if if boxed then Q.(!cost_q <= one) else !cost_n <= lden then begin
+          lo_n := lden - !cost_n;
+          if boxed then lo_q := Q.sub Q.one !cost_q;
+          let has_other = ref false in
           for b = 0 to k - 1 do
-            if mask land (1 lsl b) <> 0 then begin
-              let i = actives.(b) in
-              in_finished.(i) <- true;
-              cost_n := !cost_n + c_ints.(pdx i)
-            end
+            if not in_finished.(actives.(b)) then has_other := true
           done;
-          if !cost_n <= lden then begin
-            let lo_n = lden - !cost_n in
-            let has_other = ref false in
+          if (not !has_other) || if boxed then Q.is_zero !lo_q else !lo_n = 0 then
+            emit nd (-1)
+          else
+            (* Non-wasting: the leftover must go to some still-active
+               job it cannot finish; if it could finish one, the larger
+               finish set covers that choice. *)
             for b = 0 to k - 1 do
-              if not in_finished.(actives.(b)) then has_other := true
-            done;
-            if (not !has_other) || lo_n = 0 then emit_cd nd (-1) 0
-            else
-              for b = 0 to k - 1 do
-                let p = actives.(b) in
-                if (not in_finished.(p)) && c_ints.(pdx p) > lo_n then
-                  emit_cd nd p (c_ints.(pdx p) - lo_n)
-              done
-          end;
-          for b = 0 to k - 1 do
-            if mask land (1 lsl b) <> 0 then in_finished.(actives.(b)) <- false
-          done
-        end
-        else begin
-          (* General path: canonical small-tier pairs with boxed
-             fallbacks. Mark the finish set and accumulate its cost,
-             staying on int pairs until a value leaves the small
-             tier. *)
-          cost.p <- 0;
-          cost.q <- 1;
-          let cost_big = ref None in
-          for b = 0 to k - 1 do
-            if mask land (1 lsl b) <> 0 then begin
-              let i = actives.(b) in
-              in_finished.(i) <- true;
-              match !cost_big with
-              | Some cb -> cost_big := Some (Q.add cb (rem_of nd.key i))
-              | None ->
-                let p = c_ints.(pdx i) and q = c_ints.(qdx i) in
-                if not (q <> 0 && SR.add cost cost.p cost.q p q) then
-                  cost_big :=
-                    Some (Q.add (SR.to_rational cost.p cost.q) (rem_of nd.key i))
-            end
-          done;
-          let cost_le_one =
-            match !cost_big with
-            | None -> cost.p <= cost.q
-            | Some cb -> Q.(cb <= one)
-          in
-          if cost_le_one then begin
-            (* leftover = 1 - cost; its parts inherit the cost's gcd. *)
-            (lo_big :=
-               match !cost_big with
-               | None ->
-                 ignore (SR.one_minus lo cost.p cost.q);
-                 None
-               | Some cb -> Some (Q.sub Q.one cb));
-            lo_have := false;
-            let leftover_zero =
-              match !lo_big with None -> lo.p = 0 | Some l -> Q.is_zero l
-            in
-            let has_other = ref false in
-            for b = 0 to k - 1 do
-              if not in_finished.(actives.(b)) then has_other := true
-            done;
-            if (not !has_other) || leftover_zero then emit_general nd (-1)
-            else
-              (* Non-wasting: the leftover must go to some still-active
-                 job it cannot finish; if it could finish one, the
-                 larger finish set covers that choice. *)
-              for b = 0 to k - 1 do
-                let p = actives.(b) in
-                if not in_finished.(p) then begin
-                  let vq = c_ints.(qdx p) in
-                  let v_gt_leftover =
-                    match !lo_big with
-                    | None when vq <> 0 ->
-                      SR.compare c_ints.(pdx p) vq lo.p lo.q > 0
-                    | _ -> Q.(rem_of nd.key p > leftover_boxed ())
-                  in
-                  if v_gt_leftover then emit_general nd p
-                end
-              done
-          end;
-          for b = 0 to k - 1 do
-            if mask land (1 lsl b) <> 0 then in_finished.(actives.(b)) <- false
-          done
-        end
+              let p = actives.(b) in
+              if
+                (not in_finished.(p))
+                && if boxed then Q.(c.Key.rems.(p) > !lo_q) else ints.(m + p) > !lo_n
+              then emit nd p
+            done
+        end;
+        for b = 0 to k - 1 do
+          if mask land (1 lsl b) <> 0 then in_finished.(actives.(b)) <- false
+        done
       done
     in
     let expand_layer layer =
@@ -710,24 +508,14 @@ let solve ?(prune = true) instance =
     let makespan, final = grow [ start ] 1 in
     (* Rebuild each step's share vector from the parent/child keys: a
        processor whose job count rose was finished (its share is the
-       parent's whole remainder); one whose remainder shrank at the
-       same job received the leftover; everyone else got zero. Shares
-       come out canonical boxed either way, so schedule bytes don't
-       depend on the encoding mode. *)
+       parent's whole remainder); every other one gets what its
+       remainder shrank by (zero when it did not move). Shares come out
+       canonical boxed either way, so schedule bytes don't depend on
+       the tier. *)
     let shares_of parent child =
       Array.init m (fun i ->
-          if child.key.Key.ints.(jdx i) > parent.key.Key.ints.(jdx i) then
-            rem_of parent.key i
-          else begin
-            let unchanged =
-              child.key.Key.ints.(pdx i) = parent.key.Key.ints.(pdx i)
-              && child.key.Key.ints.(qdx i) = parent.key.Key.ints.(qdx i)
-              && (child.key.Key.ints.(qdx i) <> 0
-                 || Q.equal (rem_of child.key i) (rem_of parent.key i))
-            in
-            if unchanged then Q.zero
-            else Q.sub (rem_of parent.key i) (rem_of child.key i)
-          end)
+          if child.key.Key.ints.(i) > parent.key.Key.ints.(i) then rem parent.key i
+          else Q.sub (rem parent.key i) (rem child.key i))
     in
     let rec collect node acc =
       match node.parent with

@@ -102,13 +102,6 @@ let minus_one = S { p = -1; q = 1 }
 let num = function S { p; _ } -> Bigint.of_int p | B { num; _ } -> num
 let den = function S { q; _ } -> Bigint.of_int q | B { den; _ } -> den
 
-let small_num = function
-  | S { p; _ } -> p
-  | B _ -> invalid_arg "Rational.small_num: bigint-tier value"
-
-let small_den = function
-  | S { q; _ } -> q
-  | B _ -> invalid_arg "Rational.small_den: bigint-tier value"
 let sign = function S { p; _ } -> Stdlib.compare p 0 | B { num; _ } -> Bigint.sign num
 
 (* Zero and one always fit the small tier, so [B] cannot hold them. *)
@@ -427,6 +420,36 @@ let is_canonical = function
     && (not (Bigint.is_zero num))
     && Natural.is_one (Bigint.gcd num den)
     && not (fits_small num den)
+
+exception Over_bound
+
+(* One lcm pass over the denominators, then one scaling pass; both stop
+   at the first part past [bound], and every product is checked by a
+   division before it is formed, so nothing here overflows. *)
+let common_denominator ~bound rows =
+  let int_part b =
+    match Bigint.to_int_opt b with Some i -> i | None -> raise_notrace Over_bound
+  in
+  let den_of = function S { q; _ } -> q | B { den; _ } -> int_part den in
+  let num_of = function S { p; _ } -> p | B { num; _ } -> int_part num in
+  match
+    let l =
+      Array.fold_left
+        (Array.fold_left (fun l v ->
+             let q = den_of v in
+             let f = q / Natural.gcd_int l q in
+             if l > bound / f then raise_notrace Over_bound else l * f))
+        1 rows
+    in
+    let scale v =
+      let f = l / den_of v and p = num_of v in
+      let cap = bound / f in
+      if p > cap || p < -cap then raise_notrace Over_bound else p * f
+    in
+    (l, Array.map (Array.map scale) rows)
+  with
+  | r -> Some r
+  | exception Over_bound -> None
 
 let sum l = List.fold_left add zero l
 let sum_array a = Array.fold_left add zero a

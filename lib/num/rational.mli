@@ -116,6 +116,22 @@ val clamp : lo:t -> hi:t -> t -> t
 val in_unit_interval : t -> bool
 (** [0 <= x <= 1]. *)
 
+(** {1 Common denominators} *)
+
+val common_denominator : bound:int -> t array array -> (int * int array array) option
+(** [common_denominator ~bound rows] is [Some (l, nums)] when the lcm
+    [l] of every value's denominator is at most [bound] and every value
+    [v] scales to an int [nums.(i).(k) = v * l] of magnitude at most
+    [bound]; [v] is then exactly [nums.(i).(k) / l]. Otherwise, or when
+    a part does not fit an int, [None]. [bound] is at least 1.
+
+    This is the one remainder-tier decision of the exact DP kernels,
+    made once per solve on the requirement rows with
+    [bound = max_int / m]: requirements lie in [\[0, 1\]], so their
+    numerators are at most [l], and a sum of [m] remainders stays
+    within [m l <= max_int]. On [None] the kernels keep their
+    remainders as boxed [t] values. *)
+
 (** {1 Internals exposed for testing and benchmarking} *)
 
 val small_bound : int
@@ -128,12 +144,3 @@ val is_small : t -> bool
 val is_canonical : t -> bool
 (** Representation invariant: positive denominator, coprime parts, zero
     as 0/1, and the small tier used whenever the value fits it. *)
-
-val small_num : t -> int
-val small_den : t -> int
-(** Parts of a small-tier value, without boxing through [Bigint]. The
-    pair is canonical: denominator positive, parts coprime, both within
-    [small_bound]. Used by the flat DP kernels to keep remainders in
-    plain int arrays ([Smallrat] operates on such pairs).
-    @raise Invalid_argument on a bigint-tier value ([is_small] is
-    false). *)

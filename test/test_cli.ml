@@ -70,6 +70,17 @@ let test_export_verify_roundtrip () =
 let test_bad_inputs () =
   let code, _ = run_capture "solve /nonexistent/file.txt" in
   Alcotest.(check bool) "missing file fails" true (code <> 0);
+  (* Out-of-range parameters answer one error line and exit 1, not an
+     uncaught exception. *)
+  List.iter
+    (fun cmd ->
+      let code, out = run_capture cmd in
+      Alcotest.(check int) (cmd ^ " exits 1") 1 code;
+      Alcotest.(check bool) (cmd ^ " says error") true (has "error: " out))
+    [
+      "gen -m 0"; "gen --granularity 0"; "gen -f rr-worst -n 0"; "gen -f gb-worst -m 1";
+      "gen -f gb-worst -n 0"; "simulate --cores 0"; "simulate --cores=-2"; "reduce 0 1";
+    ];
   with_instance_file "3/2\n" (fun path ->
       (* requirement > 1 is rejected at parse time *)
       let code, out = run_capture (Printf.sprintf "solve %s" path) in

@@ -3,9 +3,9 @@
    Digests hold each kernel's answers per instance: makespan, work
    counters and witness schedule. Their inputs span serving sizes, the
    persisted corpus, a fresh seeded population and hand-built instances
-   that straddle the small/bigint tier boundary — the layouts' hard
-   cases (common-denominator mode refused, small-tier sums spilling to
-   the side table, bigint-tier requirements). The first two were derived
+   near Rational's small/bigint boundary, whose lcm L of denominators
+   is past 2^31 yet within max_int / m, so they run the
+   common-denominator tier. The first two were derived
    while the frozen pre-rewrite boxed kernels still ran beside the flat
    ones: on every corpus, fresh and tier-boundary instance, Opt_two's
    lines were the boxed kernel's byte for byte (makespan, cells,
@@ -15,7 +15,8 @@
    inherited hash-bucket order, so a replay may pick a different
    equally-good parent); every one must certify. A third pins
    Opt_config on the shapes its first digest leaves out: two and five
-   processors, and bigint-tier remainders.
+   processors, and bigint-tier remainders. A fourth pins both kernels
+   on the boxed tier (L above max_int / m).
 
    Beside the digests sit the kernels' work budgets: fuel per reached
    cell, words per job, and words and filter comparisons per generated
@@ -43,9 +44,8 @@ let corpus () =
 
 (* Fresh seeded instances (not from the corpus), drawn from one stream:
    140 two-processor ones, then 45 three- and 15 four-processor ones.
-   Mixed granularities keep both encodings in play: most draws stay in
-   common-denominator mode, coprime-granularity pairs fall back to the
-   canonical-pair path. Returns the 140 for Opt_two, and for Opt_config
+   Mixed granularities (2 to 12) vary L; every draw runs the
+   common-denominator tier. Returns the 140 for Opt_two, and for Opt_config
    the first 40 of them followed by the 60 wider ones. *)
 let fresh () =
   let st = Random.State.make [| 0xD9; 8 |] in
@@ -63,19 +63,19 @@ let fresh () =
   let four = draw 4 ~jobs:2 15 in
   (two, List.filteri (fun k _ -> k < 40) two @ three @ four)
 
-(* Hand-built instances at the small/bigint seam. [Q.small_bound] is
-   the largest canonical small-tier part; requirements with numerators
-   near it force every escape hatch in turn. *)
+(* Hand-built instances at Rational's small/bigint seam. [Q.small_bound]
+   is the largest canonical small-tier part; requirements near it make
+   remainders and their sums leave Rational's small tier. Each has
+   L <= max_int / m, so the kernels run the common-denominator tier on
+   them; the boxed tier has its own inputs below. *)
 let frac p q = Printf.sprintf "%d/%d" p q
 
 let tier_boundary_m2 () =
   let b = Q.small_bound in
   let i rows = Helpers.instance_of_strings rows in
   [
-    (* Sums of near-bound remainders overflow the small tier: the start
-       cell's remainder already needs the bigint spill table, and the
-       lcm of the denominators is far past small_bound, so
-       common-denominator mode must refuse the instance. *)
+    (* Sums of near-bound remainders leave Rational's small tier: the
+       start cell's remainder is already past small_bound. *)
     ( "spill-over-bound",
       i
         [
@@ -83,28 +83,26 @@ let tier_boundary_m2 () =
           [ frac (b - 3) b; "2/3"; "1/2" ];
         ] );
     (* Coprime ~2^16 denominators: each requirement is comfortably
-       small-tier but their lcm (~2^32) exceeds small_bound, so the
-       kernels must run the canonical-pair path without ever spilling. *)
+       small-tier but their lcm (~2^32) exceeds small_bound. *)
     ( "lcm-overflow",
       i
         [
           [ frac 1 65521; frac 2 65521; frac 65520 65521 ];
           [ frac 1 65519; frac 3 65519 ];
         ] );
-    (* A genuinely bigint-tier requirement (numerator and denominator
-       above small_bound): prefetch leaves reqq = 0 and every touch of
-       this job must take the boxed route. *)
+    (* A genuinely bigint-tier requirement: numerator and denominator
+       above small_bound, both within an int. *)
     ( "bigint-requirement",
       i [ [ frac (b + 1) (b + 2); "1/2" ]; [ "1/2"; frac (b + 1) (b + 2) ] ] );
-    (* lcm exactly AT the bound (small_bound is prime, so a denominator
-       of small_bound pins the lcm there): the largest denominator
-       common-denominator mode may accept. *)
+    (* lcm exactly at small_bound (a prime): the largest lcm the
+       common-denominator tier once took before the bound became
+       max_int / m. *)
     ("lcm-at-bound", i [ [ frac 1 b; frac 2 b ]; [ frac 3 b; frac 1 b ] ]);
   ]
 
-(* Three near-bound first jobs: remainders leave the small tier once a
-   step splits a leftover, and a processor that a step leaves untouched
-   must carry its big remainder into the successor's key. *)
+(* Three near-bound first jobs: remainders leave Rational's small tier
+   once a step splits a leftover, and a processor that a step leaves
+   untouched must carry its remainder into the successor's key. *)
 let big_remainder_carried () =
   let b = Q.small_bound in
   ( "big-remainder-carried",
@@ -198,11 +196,11 @@ let test_witness_digest () =
     witness_digest
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
-(* Seeded general-mode instances whose remainders leave the small tier:
+(* Seeded instances whose remainders leave Rational's small tier:
    near-bound requirements (b - r)/b beside small-denominator ones, so
-   the lcm refuses common-denominator mode and a leftover split across
-   a near-bound job and a thirds or sevenths job lands in the bigint
-   side array. *)
+   a leftover split across a near-bound job and a thirds or sevenths
+   job is bigint-tier as a Rational, while L (at most 210 b) stays
+   within max_int / m and the common-denominator tier holds it. *)
 let near_bound_general () =
   let b = Q.small_bound in
   let st = Random.State.make [| 0xB16; 5 |] in
@@ -223,8 +221,8 @@ let near_bound_general () =
 (* The second pin's inputs: the shapes the first leaves out. Two
    processors through Opt_config itself (campaign families and
    exact-cold's m = 2 family), five processors (campaign families at
-   two and three jobs each), and general-mode instances with bigint-tier
-   remainders. *)
+   two and three jobs each), and instances whose witnesses carry
+   bigint-tier shares. *)
 let opt_config_wide_inputs () =
   let campaign shapes =
     List.concat_map
@@ -354,8 +352,8 @@ let test_comparison_budget () =
 
 (* Opt_two's inputs: perfbench exact-cold's m = 2 family (60-120 jobs
    per processor, granularity 20) and its heavy-tailed variant, Figure
-   3 at n = 40 and 400, the tier-boundary instances that exercise the
-   spill table, every unit-size two-processor corpus entry and the 140
+   3 at n = 40 and 400, the hand-built small/bigint seam instances,
+   every unit-size two-processor corpus entry and the 140
    fresh two-processor instances. *)
 let opt_two_inputs () =
   let spec =
@@ -468,6 +466,139 @@ let test_makespan_words () =
         true (spent <= budget))
     [ 200; 400; 800 ]
 
+(* The boxed tier's inputs: instances whose lcm L of requirement
+   denominators is above max_int / m, so neither kernel can hold their
+   remainders as int numerators over L. Two processors with every prime
+   up to 61 among the denominators (their product is about 1.2e23); two
+   and three processors with the coprime denominators 2147483629 and
+   2147483587, just below 2^31 (their product is about 4.6e18); and one
+   instance with requirements whose denominator does not fit an int. *)
+let primes_to_61 = [| 2; 3; 5; 7; 11; 13; 17; 19; 23; 29; 31; 37; 41; 43; 47; 53; 59; 61 |]
+
+let boxed_tier_inputs () =
+  let st = Random.State.make [| 0xB0C5; 29 |] in
+  (* [over q] is in (0, 1]; [proper q] is below 1, so its reduced
+     denominator is q for a prime q. *)
+  let over q = frac (1 + Random.State.full_int st q) q in
+  let proper q = frac (1 + Random.State.full_int st (q - 1)) q in
+  let near_2_31 m count ~jobs =
+    let big = [| 2147483629; 2147483587 |] in
+    let req () =
+      if Random.State.bool st then
+        let q = big.(Random.State.int st 2) in
+        if Random.State.bool st then frac (q - Random.State.int st 1000) q else over q
+      else over [| 2; 3; 5; 7 |].(Random.State.int st 4)
+    in
+    List.init count (fun k ->
+        ( Printf.sprintf "near-2^31 m=%d #%d" m (k + 1),
+          Helpers.instance_of_strings
+            (List.init m (fun i ->
+                 let first = if i < 2 then proper big.(i) else req () in
+                 first :: List.init (Random.State.int st jobs) (fun _ -> req ()))) ))
+  in
+  let small_primes count =
+    List.init count (fun k ->
+        let n1 = 9 + Random.State.int st 12 and n2 = 9 + Random.State.int st 12 in
+        let n = n1 + n2 in
+        let dens =
+          Array.init n (fun _ -> primes_to_61.(Random.State.int st (Array.length primes_to_61)))
+        in
+        (* Every prime once, at distinct random jobs. *)
+        let slots = Array.init n Fun.id in
+        for j = n - 1 downto 1 do
+          let r = Random.State.int st (j + 1) in
+          let t = slots.(j) in
+          slots.(j) <- slots.(r);
+          slots.(r) <- t
+        done;
+        Array.iteri (fun j p -> dens.(slots.(j)) <- p) primes_to_61;
+        let row lo len = List.init len (fun j -> proper dens.(lo + j)) in
+        ( Printf.sprintf "primes<=61 m=2 #%d" (k + 1),
+          Helpers.instance_of_strings [ row 0 n1; row n1 n2 ] ))
+  in
+  let huge = "100000000000000000039" in
+  near_2_31 2 12 ~jobs:6 @ near_2_31 3 8 ~jobs:3 @ small_primes 30
+  @ [
+      ( "denominator-past-int",
+        Helpers.instance_of_strings
+          [
+            [ "1/2"; "70000000000000000000/" ^ huge; "2/3" ];
+            [ "99999999999999999999/" ^ huge; "3/5"; "1/" ^ huge; "1/4" ];
+          ] );
+    ]
+
+(* Both kernels on the boxed tier, pinned per instance: Opt_two (at
+   m = 2) by makespan, fuel ticks, cells, relaxations and witness,
+   Opt_config by makespan, layer sizes, generated count, fuel ticks and
+   witness. Every witness must certify, and the tier decision must
+   refuse every instance. The digest was derived while the kernels
+   still held these remainders as canonical int pairs with a bigint
+   side store. *)
+let boxed_tier_digest = "2f482640974072d5fc50e88aa480db5b"
+
+let test_boxed_tier_digest () =
+  let inputs = boxed_tier_inputs () in
+  let buf = Buffer.create (1 lsl 16) in
+  let certify name i schedule makespan =
+    match Crs_fuzz.Certify.check i schedule ~claimed:makespan with
+    | Ok _ -> ()
+    | Error msg -> Alcotest.failf "%s: witness rejected: %s" name msg
+  in
+  let ticked f =
+    let before = Crs_util.Fuel.ticks () in
+    let r = f () in
+    (r, Crs_util.Fuel.ticks () - before)
+  in
+  List.iter
+    (fun (name, i) ->
+      let rows = Array.init (Instance.m i) (fun p -> Array.map Job.requirement (Instance.jobs_on i p)) in
+      if Q.common_denominator ~bound:(max_int / Instance.m i) rows <> None then
+        Alcotest.failf "%s: the common-denominator tier accepts it" name;
+      if Instance.m i = 2 then begin
+        let s, ticks = ticked (fun () -> O2.solve i) in
+        certify name i s.O2.schedule s.O2.makespan;
+        Printf.bprintf buf "%s opt_two: %d %d %d %d\n%s\n" name s.O2.makespan ticks
+          s.O2.counters.O2.cells_expanded s.O2.counters.O2.relaxations
+          (Schedule.to_string s.O2.schedule)
+      end;
+      let s, ticks = ticked (fun () -> OC.solve i) in
+      certify name i s.OC.schedule s.OC.makespan;
+      Printf.bprintf buf "%s opt_config: %d [%s] %d %d\n%s\n" name s.OC.makespan
+        (String.concat ";" (List.map string_of_int s.OC.stats.OC.layers))
+        s.OC.stats.OC.generated ticks
+        (Schedule.to_string s.OC.schedule))
+    inputs;
+  Alcotest.(check string)
+    (Printf.sprintf "%d instances: both kernels' answers, work and witnesses"
+       (List.length inputs))
+    boxed_tier_digest
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+(* Every benchmark solve runs the common-denominator tier: the tier
+   decision accepts seeds 1-100 of exact-cold's two families
+   (granularity 20), hot-tier's two key shapes and campaign-sweep's
+   uniform m = 3, n = 6 (granularity 10). *)
+let test_benchmark_traffic_common_denominator () =
+  let module Gen = Crs_generators.Random_gen in
+  let accepts name i =
+    let rows = Array.init (Instance.m i) (fun p -> Array.map Job.requirement (Instance.jobs_on i p)) in
+    if Q.common_denominator ~bound:(max_int / Instance.m i) rows = None then
+      Alcotest.failf "%s: sent to the boxed tier" name
+  in
+  let spec m lo hi g = { Gen.m; jobs_min = lo; jobs_max = hi; granularity = g; allow_zero = false } in
+  for seed = 1 to 100 do
+    List.iter
+      (fun (name, sp) ->
+        accepts (Printf.sprintf "%s seed=%d" name seed)
+          (Gen.instance ~spec:sp (Random.State.make [| seed |])))
+      [
+        ("exact-cold m=2", spec 2 60 120 20); ("exact-cold m=3", spec 3 4 6 20);
+        ("hot-tier m=2", spec 2 3 8 10); ("hot-tier m=3", spec 3 3 5 10);
+      ];
+    accepts (Printf.sprintf "campaign-sweep seed=%d" seed)
+      (campaign_instance Crs_campaign.Spec.Uniform ~m:3 ~n:6 ~seed)
+  done
+
 let suite =
   [
     Alcotest.test_case "opt_two fuel price = reachable cells" `Quick
@@ -485,4 +616,7 @@ let suite =
       test_alloc_budget;
     Alcotest.test_case "opt_config filter comparisons per successor" `Quick
       test_comparison_budget;
+    Alcotest.test_case "boxed tier pinned to a digest" `Quick test_boxed_tier_digest;
+    Alcotest.test_case "benchmark traffic takes the common-denominator tier" `Quick
+      test_benchmark_traffic_common_denominator;
   ]
